@@ -4,8 +4,7 @@ Subcommands cover the whole pipeline: ``build-subwords`` turns a word
 frequency list into a subword probability file, ``train`` fits subword
 vectors to target embeddings, ``predict`` composes vectors for arbitrary
 query words, ``segment`` prints top segmentations and subword weights,
-``eval-ws``/``eval-affix`` run the evaluations, and ``bench`` measures
-composition latency and the quadratic scaling of the lattice.
+and ``eval-ws``/``eval-affix`` run the evaluations.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Diagnostics go to
 stderr; data goes to stdout or the requested output file.
@@ -14,22 +13,10 @@ stderr; data goes to stdout or the requested output file.
 from __future__ import annotations
 
 import argparse
-import random
-import statistics
 import sys
-import time
-from pathlib import Path
-
-import numpy as np
 
 from . import io_formats, lattice
-from .embedding_model import (
-    PbosModel,
-    SubwordEmbeddings,
-    TrainConfig,
-    Variant,
-    train,
-)
+from .embedding_model import PbosModel, TrainConfig, Variant, train
 from .evaluation import evaluate_affix_dataset, filter_affix_dataset, word_similarity
 from .subword_stats import build_table
 
@@ -139,17 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the random baseline")
     p.set_defaults(run=_cmd_eval_affix)
 
-    p = sub.add_parser(
-        "bench",
-        help="measure composition latency and lattice scaling",
-        formatter_class=fmt,
-    )
-    p.add_argument("--subwords", required=True, help="subword probability file")
-    p.add_argument("--dim", type=int, default=300, help="embedding dimension for the compose benchmark")
-    p.add_argument("--repeats", type=int, default=200, help="measurements per median")
-    p.add_argument("--seed", type=int, default=0, help="seed for benchmark word generation")
-    p.set_defaults(run=_cmd_bench)
-
     return parser
 
 
@@ -179,7 +155,12 @@ def _cmd_train(args) -> int:
 
         table = replace(table, prob_eps=args.prob_eps)
     with open(args.target, encoding="utf-8") as fh:
-        targets = io_formats.read_embeddings(fh)
+        try:
+            targets = io_formats.read_embeddings(fh)
+        except io_formats.FormatError as exc:
+            raise io_formats.FormatError(
+                f"{args.target}: {exc}; training stopped before epoch 1"
+            ) from None
     if targets.duplicates_skipped:
         _info(f"skipped {targets.duplicates_skipped} duplicate target tokens")
     boundary = {"auto": None, "on": True, "off": False}[args.bos_word_boundary]
@@ -275,54 +256,6 @@ def _cmd_eval_affix(args) -> int:
     print(f"precision\t{precision:.6f}")
     print(f"recall\t{recall:.6f}")
     print(f"f1\t{f1:.6f}")
-    return EXIT_OK
-
-
-def _median_seconds(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
-def _cmd_bench(args) -> int:
-    table = _read_subwords(args.subwords)
-    rng = random.Random(args.seed)
-    alphabet = sorted(sub for sub in table.probs if len(sub) == 1) or list(
-        "abcdefghij"
-    )
-
-    def make_word(length: int) -> str:
-        return "".join(rng.choice(alphabet) for _ in range(length))
-
-    word_short, word_long, word_compose = make_word(10), make_word(40), make_word(20)
-    short = _median_seconds(lambda: lattice.subword_weights(word_short, table), args.repeats)
-    long = _median_seconds(lambda: lattice.subword_weights(word_long, table), args.repeats)
-
-    vec_rng = np.random.default_rng(args.seed)
-    embeddings = SubwordEmbeddings(dim=args.dim)
-    for i in range(len(word_compose)):
-        for j in range(i + 1, len(word_compose) + 1):
-            embeddings.vectors.setdefault(
-                word_compose[i:j], vec_rng.standard_normal(args.dim)
-            )
-    model = PbosModel(
-        table=table,
-        embeddings=embeddings,
-        config=TrainConfig(variant=Variant.PBOS, prob_eps=table.prob_eps),
-    )
-    compose = _median_seconds(lambda: model.compose(word_compose), args.repeats)
-
-    _info(
-        f"benchmark words: len 10 {word_short!r}, len 40 (truncated) "
-        f"{word_long[:12]!r}..., compose {word_compose!r} at dim {args.dim}"
-    )
-    print(f"weights_l10_us\t{short * 1e6:.1f}")
-    print(f"weights_l40_us\t{long * 1e6:.1f}")
-    print(f"weights_scaling_ratio\t{long / short:.2f}")
-    print(f"compose_us\t{compose * 1e6:.1f}")
     return EXIT_OK
 
 

@@ -6,12 +6,15 @@ separated) written at 9 significant digits.  Reading such a file back
 gives each value to within 5e-9 relative (half a unit in the ninth
 digit), exactly for float32 data, and writing what was read reproduces
 the file byte for byte.
-Frequency and benchmark readers skip malformed lines and count them;
-only structural problems in embedding files abort.
+Frequency and benchmark readers skip malformed lines and count them.
+Embedding and subword files abort with :class:`FormatError` on a
+structural problem or a value no model can use: a non-finite vector
+component, or a probability outside (0, 1].
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import IO
@@ -66,11 +69,18 @@ def read_embeddings(stream: IO[str]) -> TargetEmbeddings:
         if not token:
             raise FormatError(f"record {record + 1} has an empty token")
         try:
-            vector = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+            values = [float(x) for x in fields[1:]]
         except ValueError:
             raise FormatError(
                 f"record {record + 1} has a non-numeric component"
             ) from None
+        # an inf or nan component makes the sum non-finite, so a finite
+        # sum clears the record without a per-component test
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise FormatError(
+                f"record {record + 1} ({token!r}) has a non-finite component"
+            )
+        vector = np.array(values, dtype=np.float64)
         if token in entries:
             duplicates += 1
             continue
@@ -164,11 +174,16 @@ def write_subwords(table: SubwordTable, stream: IO[str]) -> None:
 
 
 def read_subwords(stream: IO[str]) -> SubwordTable:
+    """Parse a file written by :func:`write_subwords`.
+
+    A probability outside (0, 1] (nan and inf included) or a ``prob_eps``
+    header outside (0, 1) raises :class:`FormatError` naming the line.
+    """
     prob_eps = 0.01
     max_len: int | None = None
     total_mass = 0.0
     probs: dict[str, float] = {}
-    for raw in stream:
+    for number, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line:
             continue
@@ -178,7 +193,9 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
             key = key.strip()
             value = value.strip()
             if key == "prob_eps":
-                prob_eps = float(value)
+                prob_eps = _parse_float(value, number)
+                if not 0.0 < prob_eps < 1.0:
+                    raise FormatError(f"line {number}: prob_eps must be in (0, 1), got {value!r}")
             elif key == "max_len":
                 max_len = None if value == "none" else int(value)
             elif key == "total_mass":
@@ -186,13 +203,25 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
             continue
         subword, sep, value = line.partition("\t")
         if not sep or not subword:
-            raise FormatError(f"malformed subword line: {line!r}")
-        probs[subword] = float(value)
+            raise FormatError(f"line {number}: malformed subword line: {line!r}")
+        prob = _parse_float(value, number)
+        if not 0.0 < prob <= 1.0:
+            raise FormatError(
+                f"line {number}: probability of {subword!r} must be in (0, 1], got {value!r}"
+            )
+        probs[subword] = prob
     if not probs:
         raise FormatError("subword file contains no subwords")
     return SubwordTable(
         probs=probs, prob_eps=prob_eps, max_len=max_len, total_mass=total_mass
     )
+
+
+def _parse_float(text: str, number: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise FormatError(f"line {number}: not a number: {text!r}") from None
 
 
 def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:

@@ -8,15 +8,29 @@ product of its edge weights.
 
 Every path through a fixed edge splits into a left part, the edge, and a
 right part, so the marginal mass of a subword occurrence factors into
-(forward path sum) * (edge weight) * (backward path sum).  Forward and
-backward sums obey a quadratic-time recursion, which gives all per-subword
-weights in O(n^2) arithmetic instead of enumerating paths.
+(forward path sum) * (edge weight) * (backward path sum).  One pass looks
+up every span once, keeps the nonzero ones, and runs the forward and
+backward recursions over them, which gives all per-subword weights in
+O(n^2) arithmetic instead of enumerating paths.
+
+Path sums of long words fall below the smallest float, so the pass keeps
+each one as a mantissa in [0.5, 1) and an integer power-of-two exponent,
+as ``math.frexp`` returns them (the scaled forward-backward recursion of
+Rabiner, 1989).  The terms of a sum are added relative to the largest
+exponent among them, so none can overflow.  A power-of-two shift is
+exact: wherever plain float arithmetic stays in the normal range the pass
+yields the same bits, and where it would underflow the weights,
+likelihoods and rankings keep full precision.
+
+The k most likely segmentations come from a left-to-right DP that keeps a
+k-best list per position (Huang & Chiang, "Better k-best parsing", 2005).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 from .subword_stats import SubwordTable
@@ -28,7 +42,15 @@ Segmentation = tuple[str, ...]
 MAX_WORD_LEN = 1000  # the DP is cheap but unbounded input is abuse
 MAX_ENUM_LEN = 20    # exhaustive enumeration is O(2^n)
 
-_NEG_INF = float("-inf")
+# A nonzero span starting at i: (j, mantissa, exponent, word[i:j]), where
+# mantissa * 2**exponent is the probability of word[i:j].
+_Span = tuple[int, float, int, str]
+
+# Scaled path sums: mantissas and exponents per position.
+_Sums = tuple[list[float], list[int]]
+
+# The exponent an empty sum starts from, below that of any float product.
+_EMPTY_EXP = -sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -38,9 +60,11 @@ class LatticeResult:
     ``forward[i]`` sums segment-probability products over all segmentations
     of ``word[:i]`` (``forward[0] == 1``); ``backward[i]`` does the same for
     ``word[i:]`` (``backward[n] == 1``).  ``partition`` is the total mass of
-    all segmentations, i.e. ``forward[n]``.  ``weights`` maps each subword
+    all segmentations, i.e. ``forward[n]``.  These three are plain floats,
+    so on long words they underflow to 0.0.  ``weights`` maps each subword
     to its normalized marginal mass, accumulated over repeated occurrences,
-    and sums to 1.
+    and sums to 1; it is computed from the scaled sums, so it keeps full
+    precision when ``partition`` has underflowed.
     """
 
     word: str
@@ -57,43 +81,107 @@ def _check_word(word: str, limit: int = MAX_WORD_LEN) -> None:
         raise ValueError(f"word of length {len(word)} exceeds the guard of {limit}")
 
 
-def forward_sums(word: str, table: SubwordTable) -> list[float]:
-    """Path sums over all segmentations of every prefix of ``word``."""
+def _scaled_pass(
+    word: str, table: SubwordTable
+) -> tuple[list[list[_Span]], _Sums, _Sums, dict[str, float]]:
+    """Look up every span of ``word`` once; run both path-sum recursions
+    and accumulate the subword weights.
+
+    Returns ``(starts, forward, backward, weights)``.  ``starts[i]`` lists
+    the nonzero spans that begin at i, in ascending order of their end.
+    ``forward = (fwd_m, fwd_e)`` holds the path sum into position i as
+    ``fwd_m[i] * 2**fwd_e[i]`` and ``backward`` the sum out of it; a
+    mantissa of 0.0 means no path.
+
+    Sums add their terms in the order of the plain recursions, relative
+    to the largest exponent seen so far, and rescale the partial sum
+    (exactly) when a larger one arrives.
+    """
     _check_word(word)
     n = len(word)
-    sums = [0.0] * (n + 1)
-    sums[0] = 1.0
     lookup = table.lookup
-    for i in range(1, n + 1):
-        acc = 0.0
-        for k in range(i):
-            prob = lookup(word[k:i])
+    frexp, ldexp = math.frexp, math.ldexp
+    starts: list[list[_Span]] = [[] for _ in range(n + 1)]
+    bwd_m, bwd_e = [0.0] * (n + 1), [0] * (n + 1)
+    bwd_m[n], bwd_e[n] = frexp(1.0)
+    for i in range(n - 1, -1, -1):
+        out = starts[i]
+        acc, top = 0.0, _EMPTY_EXP
+        for j in range(i + 1, n + 1):
+            sub = word[i:j]
+            prob = lookup(sub)
             if prob:
-                acc += sums[k] * prob
-        sums[i] = acc
-    return sums
+                m, e = frexp(prob)
+                out.append((j, m, e, sub))
+                right = bwd_m[j]
+                if right:
+                    e += bwd_e[j]
+                    if e > top:
+                        acc, top = ldexp(acc, top - e) + m * right, e
+                    else:
+                        acc += ldexp(m * right, e - top)
+        m, e = frexp(acc)
+        bwd_m[i], bwd_e[i] = m, e + top
+
+    # Each finished forward sum is pushed along the spans of its start
+    # into the pending sums pend_m[j] * 2**pend_e[j].  Subword masses are
+    # held relative to the exponent of the partition, backward[0].
+    fwd_m, fwd_e = [0.0] * (n + 1), [0] * (n + 1)
+    pend_m, pend_e = [1.0] + [0.0] * n, [0] + [_EMPTY_EXP] * n
+    norm_e = bwd_e[0]
+    masses: dict[str, float] = {}
+    total = 0.0
+    for i, spans in enumerate(starts):
+        left, left_e = frexp(pend_m[i])
+        left_e += pend_e[i]
+        fwd_m[i], fwd_e[i] = left, left_e
+        if not left:
+            continue
+        base = left_e - norm_e
+        for j, m, e, sub in spans:
+            term = left * m
+            mass = ldexp(term * bwd_m[j], base + e + bwd_e[j])
+            if mass:
+                masses[sub] = masses.get(sub, 0.0) + mass
+                total += mass
+            e += left_e
+            top = pend_e[j]
+            if e > top:
+                pend_m[j], pend_e[j] = ldexp(pend_m[j], top - e) + term, e
+            else:
+                pend_m[j] += ldexp(term, e - top)
+    weights = {sub: mass / total for sub, mass in masses.items()}
+    return starts, (fwd_m, fwd_e), (bwd_m, bwd_e), weights
+
+
+def _likelihood(seg: Segmentation, table: SubwordTable, forward: _Sums) -> float:
+    """Product of the segment probabilities over the partition."""
+    norm_m, norm_e = forward[0][-1], forward[1][-1]
+    if not norm_m:
+        raise ValueError("no segmentation has positive probability")
+    mantissa, exponent = 1.0, 0
+    for segment in seg:
+        mantissa, shift = math.frexp(mantissa * table.lookup(segment))
+        exponent += shift
+    return math.ldexp(mantissa / norm_m, exponent - norm_e)
+
+
+def forward_sums(word: str, table: SubwordTable) -> list[float]:
+    """Path sums over all segmentations of every prefix of ``word``."""
+    _, forward, _, _ = _scaled_pass(word, table)
+    return list(map(math.ldexp, *forward))
 
 
 def backward_sums(word: str, table: SubwordTable) -> list[float]:
     """Mirror of :func:`forward_sums`, accumulated from the right end."""
-    _check_word(word)
-    n = len(word)
-    sums = [0.0] * (n + 1)
-    sums[n] = 1.0
-    lookup = table.lookup
-    for i in range(n - 1, -1, -1):
-        acc = 0.0
-        for j in range(i + 1, n + 1):
-            prob = lookup(word[i:j])
-            if prob:
-                acc += prob * sums[j]
-        sums[i] = acc
-    return sums
+    _, _, backward, _ = _scaled_pass(word, table)
+    return list(map(math.ldexp, *backward))
 
 
 def partition(word: str, table: SubwordTable) -> float:
     """Total probability mass over all segmentations of ``word``."""
-    return forward_sums(word, table)[-1]
+    _, (fwd_m, fwd_e), _, _ = _scaled_pass(word, table)
+    return math.ldexp(fwd_m[-1], fwd_e[-1])
 
 
 def subword_weights(word: str, table: SubwordTable) -> LatticeResult:
@@ -104,41 +192,13 @@ def subword_weights(word: str, table: SubwordTable) -> LatticeResult:
     accumulate under one key.  Weights are normalized to sum to 1 over all
     subwords.  Zero-probability subwords are omitted.
     """
-    _check_word(word)
-    n = len(word)
-    forward = forward_sums(word, table)
-    backward = backward_sums(word, table)
-    total_mass = forward[n]
-    lookup = table.lookup
-
-    if total_mass > 0.0:
-        acc: dict[str, float] = {}
-        total = 0.0
-        for i in range(n):
-            left = forward[i]
-            if left == 0.0:
-                continue
-            for j in range(i + 1, n + 1):
-                prob = lookup(word[i:j])
-                if prob == 0.0:
-                    continue
-                contrib = prob * left * backward[j]
-                if contrib == 0.0:
-                    continue
-                sub = word[i:j]
-                acc[sub] = acc.get(sub, 0.0) + contrib
-                total += contrib
-        weights = {sub: value / total for sub, value in acc.items()}
-    else:
-        # Products of many small probabilities underflowed; redo the sums
-        # in log space and exponentiate normalized ratios only.
-        weights = _log_space_weights(word, table)
-
+    _, (fwd_m, fwd_e), (bwd_m, bwd_e), weights = _scaled_pass(word, table)
+    ldexp = math.ldexp
     return LatticeResult(
         word=word,
-        forward=forward,
-        backward=backward,
-        partition=total_mass,
+        forward=list(map(ldexp, fwd_m, fwd_e)),
+        backward=list(map(ldexp, bwd_m, bwd_e)),
+        partition=ldexp(fwd_m[-1], fwd_e[-1]),
         weights=weights,
     )
 
@@ -150,51 +210,54 @@ def segmentation_likelihood(
     _check_word(word)
     if not seg or any(not s for s in seg) or "".join(seg) != word:
         raise ValueError(f"segmentation {seg!r} does not spell {word!r}")
-    product = 1.0
-    for segment in seg:
-        product *= table.lookup(segment)
-    norm = partition(word, table)
-    if norm > 0.0:
-        return product / norm
-    # Underflowed partition: fall back to log space (a -inf term from a
-    # zero-probability segment correctly yields likelihood 0).
-    log_product = sum(_log_lookup(table, segment) for segment in seg)
-    log_norm = _log_forward_sums(word, table)[len(word)]
-    return math.exp(log_product - log_norm)
+    _, forward, _, _ = _scaled_pass(word, table)
+    return _likelihood(seg, table, forward)
 
 
 def top_k_segmentations(
     word: str, table: SubwordTable, k: int
 ) -> list[tuple[Segmentation, float]]:
-    """The ``k`` most likely segmentations, exactly, in descending order.
+    """The ``k`` most likely segmentations, in descending order.
 
-    Ties are broken by fewer segments, then lexicographic segment order.
-    Implemented as best-first search over the lattice; the search key
-    (-log probability, segment count, segments) never improves along an
-    extension, so paths pop in exact global order.  Likelihoods are
-    normalized by the partition value.
+    Segmentations are ranked by the key (-log probability summed left to
+    right, segment count, segments), so ties are broken by fewer segments,
+    then lexicographic segment order.  Position j keeps the k best
+    segmentations of ``word[:j]``.  Extending prefixes by the same segment
+    keeps their order, so the k best of the word are built from the k best
+    prefixes, exactly unless rounding makes two different -log sums equal.
+    Zero-probability segments join a position's candidates only while it
+    has fewer than k of positive probability.  Likelihoods are normalized
+    by the partition value.
     """
-    _check_word(word)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = len(word)
-    log_norm = _log_forward_sums(word, table)[n]
-
-    # heap entries: (-log product, segment count, segments, node)
-    heap: list[tuple[float, int, Segmentation, int]] = [(0.0, 0, (), 0)]
-    out: list[tuple[Segmentation, float]] = []
-    while heap and len(out) < k:
-        neg_log, count, segments, node = heapq.heappop(heap)
-        if node == n:
-            out.append((segments, math.exp(-neg_log - log_norm)))
-            continue
-        for j in range(node + 1, n + 1):
-            log_prob = _log_lookup(table, word[node:j])
-            heapq.heappush(
-                heap,
-                (neg_log - log_prob, count + 1, segments + (word[node:j],), j),
-            )
-    return out
+    starts, forward, _, _ = _scaled_pass(word, table)
+    log, ldexp, inf = math.log, math.ldexp, math.inf
+    ends: list[list[tuple[int, float, str]]] = [[] for _ in starts]
+    for i, spans in enumerate(starts):
+        for j, m, e, sub in spans:
+            ends[j].append((i, log(ldexp(m, e)), sub))
+    # best[j]: sorted (-log product, segment count, segments) of word[:j]
+    best: list[list[tuple[float, int, Segmentation]]] = [[(0.0, 0, ())]]
+    for j in range(1, len(word) + 1):
+        candidates = []
+        for i, log_prob, sub in ends[j]:
+            for neg_log, count, segments in best[i]:
+                candidates.append((neg_log - log_prob, count + 1, segments, sub))
+        if sum(c[0] < inf for c in candidates) < k:
+            nonzero = {span[0] for span in ends[j]}
+            for i in range(j):
+                if i not in nonzero:
+                    sub = word[i:j]
+                    for _, count, segments in best[i]:
+                        candidates.append((inf, count + 1, segments, sub))
+        # equal counts mean equal lengths, so (segments, sub) orders like
+        # segments + (sub,), which is built only for the k kept
+        best.append([
+            (neg_log, count, segments + (sub,))
+            for neg_log, count, segments, sub in heapq.nsmallest(k, candidates)
+        ])
+    return [(segments, _likelihood(segments, table, forward)) for _, _, segments in best[-1]]
 
 
 def enumerate_all_segmentations(word: str) -> list[Segmentation]:
@@ -212,67 +275,3 @@ def enumerate_all_segmentations(word: str) -> list[Segmentation]:
 
     extend(0, ())
     return out
-
-
-def _log_lookup(table: SubwordTable, subword: str) -> float:
-    prob = table.lookup(subword)
-    return math.log(prob) if prob > 0.0 else _NEG_INF
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == _NEG_INF:
-        return b
-    if b == _NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
-def _log_forward_sums(word: str, table: SubwordTable) -> list[float]:
-    n = len(word)
-    sums = [_NEG_INF] * (n + 1)
-    sums[0] = 0.0
-    for i in range(1, n + 1):
-        acc = _NEG_INF
-        for k in range(i):
-            log_prob = _log_lookup(table, word[k:i])
-            if log_prob != _NEG_INF and sums[k] != _NEG_INF:
-                acc = _logaddexp(acc, sums[k] + log_prob)
-        sums[i] = acc
-    return sums
-
-
-def _log_backward_sums(word: str, table: SubwordTable) -> list[float]:
-    n = len(word)
-    sums = [_NEG_INF] * (n + 1)
-    sums[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        acc = _NEG_INF
-        for j in range(i + 1, n + 1):
-            log_prob = _log_lookup(table, word[i:j])
-            if log_prob != _NEG_INF and sums[j] != _NEG_INF:
-                acc = _logaddexp(acc, log_prob + sums[j])
-        sums[i] = acc
-    return sums
-
-
-def _log_space_weights(word: str, table: SubwordTable) -> dict[str, float]:
-    n = len(word)
-    forward = _log_forward_sums(word, table)
-    backward = _log_backward_sums(word, table)
-    acc: dict[str, float] = {}
-    total = _NEG_INF
-    for i in range(n):
-        if forward[i] == _NEG_INF:
-            continue
-        for j in range(i + 1, n + 1):
-            log_prob = _log_lookup(table, word[i:j])
-            if log_prob == _NEG_INF or backward[j] == _NEG_INF:
-                continue
-            contrib = log_prob + forward[i] + backward[j]
-            sub = word[i:j]
-            prev = acc.get(sub)
-            acc[sub] = contrib if prev is None else _logaddexp(prev, contrib)
-            total = _logaddexp(total, contrib)
-    return {sub: math.exp(value - total) for sub, value in acc.items()}

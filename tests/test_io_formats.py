@@ -54,6 +54,13 @@ def test_read_embeddings_keeps_first_duplicate():
     assert result.entries["ab"][0] == 1.0
 
 
+
+@pytest.mark.parametrize("component", ["inf", "-inf", "nan", "1e999"])
+def test_read_embeddings_rejects_non_finite_components(component):
+    text = f"2 2\nab 0.5 -1.0\nba 1.0 {component}\n"
+    with pytest.raises(FormatError, match=r"record 2 \('ba'\)"):
+        read_embeddings(io.StringIO(text))
+
 def test_write_embeddings_errors():
     with pytest.raises(ValueError):
         write_embeddings({}, io.StringIO())
@@ -159,6 +166,24 @@ def test_read_subwords_rejects_empty_and_malformed():
     with pytest.raises(FormatError):
         read_subwords(io.StringIO("nocolumns\n"))
 
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "0.0", "-0.25", "1.5", "x"])
+def test_read_subwords_rejects_bad_probabilities_by_line(value):
+    text = f"# prob_eps\t0.01\na\t0.5\nb\t{value}\n"
+    with pytest.raises(FormatError, match="line 3"):
+        read_subwords(io.StringIO(text))
+
+
+@pytest.mark.parametrize("value", ["0", "1", "1.0", "-0.5", "nan", "inf"])
+def test_read_subwords_rejects_prob_eps_outside_open_unit_interval(value):
+    text = f"a\t0.5\n# prob_eps\t{value}\n"
+    with pytest.raises(FormatError, match="line 2"):
+        read_subwords(io.StringIO(text))
+
+
+def test_read_subwords_accepts_probability_one():
+    assert read_subwords(io.StringIO("a\t1.0\n")).probs == {"a": 1.0}
 
 # --- benchmark files -----------------------------------------------------------------
 

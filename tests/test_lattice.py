@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,41 @@ def test_underflowed_partition_falls_back_to_log_space():
     assert sum(result.weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def exact_weights(word, table):
+    """Subword weights from a forward/backward DP in exact rationals."""
+    n = len(word)
+    probs = {
+        (i, j): Fraction(table.lookup(word[i:j]))
+        for i in range(n) for j in range(i + 1, n + 1)
+    }
+    spans = [(i, j, p) for (i, j), p in probs.items() if p]
+    fwd = [Fraction(1)] + [Fraction(0)] * n
+    for i, j, p in sorted(spans, key=lambda span: span[1]):
+        fwd[j] += fwd[i] * p
+    bwd = [Fraction(0)] * n + [Fraction(1)]
+    for i, j, p in sorted(spans, key=lambda span: -span[0]):
+        bwd[i] += p * bwd[j]
+    mass = {}
+    for i, j, p in spans:
+        mass[word[i:j]] = mass.get(word[i:j], 0) + fwd[i] * p * bwd[j]
+    total = sum(mass.values())
+    return {sub: value / total for sub, value in mass.items()}
+
+
+@pytest.mark.parametrize("probs, word", [
+    ({"x": 1e-5, "y": 1e-5, "xy": 1e-5}, "xy" * 64),
+    ({"x": 1e-3, "y": 1e-3, "xy": 1e-5}, "xy" * 65),
+], ids=["equal-probs", "xy-dominant"])
+def test_weights_stay_exact_when_the_partition_is_subnormal(probs, word):
+    table = SubwordTable(probs)
+    result = subword_weights(word, table)
+    assert 0.0 < result.partition < sys.float_info.min
+    expected = exact_weights(word, table)
+    assert set(result.weights) == set(expected)
+    for sub, value in expected.items():
+        assert result.weights[sub] == pytest.approx(float(value), rel=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_weights_property_against_oracle(data):
@@ -232,6 +269,47 @@ def test_top_k_includes_zero_probability_paths_when_needed():
     assert [seg for seg, _ in result] == [("z", "z"), ("zz",)]
     assert result[0][1] == pytest.approx(1.0)
     assert result[1][1] == 0.0
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**31))
+def test_top_k_on_a_long_word_is_ranked_and_starts_with_the_viterbi_path(seed):
+    rng = random.Random(seed)
+    word = "".join(rng.choice("abcd") for _ in range(200))
+    n = len(word)
+    probs = {}
+    for i in range(n):
+        for j in range(i + 1, min(n, i + 6) + 1):
+            if rng.random() < 0.6:
+                probs[word[i:j]] = rng.uniform(1e-3, 1.0)
+    table = SubwordTable(probs, prob_eps=0.01)
+    result = top_k_segmentations(word, table, 5)
+
+    segs = [seg for seg, _ in result]
+    assert len(set(segs)) == len(segs) == 5
+    assert all("".join(seg) == word for seg in segs)
+    keys = []
+    for seg in segs:
+        neg_log = 0.0
+        for segment in seg:
+            neg_log -= math.log(table.lookup(segment))
+        keys.append((neg_log, len(seg), seg))
+    assert keys == sorted(keys)
+    for seg, prob in result:
+        assert prob == pytest.approx(segmentation_likelihood(word, seg, table), rel=1e-12)
+
+    # max-product path, scored by summed -log probabilities
+    score, back = [0.0] + [math.inf] * n, [0] * (n + 1)
+    for j in range(1, n + 1):
+        for i in range(j):
+            prob = table.lookup(word[i:j])
+            if prob and score[i] - math.log(prob) < score[j]:
+                score[j], back[j] = score[i] - math.log(prob), i
+    path, j = [], n
+    while j:
+        path.append(word[back[j]:j])
+        j = back[j]
+    assert segs[0] == tuple(reversed(path))
 
 
 def test_top_k_rejects_bad_k():
