@@ -17,15 +17,35 @@ update scales that word's residual by ``1 - step * sum(w**2)``, and with
 the plain ``lr`` the bos n-gram counts (``sum(w**2) >= 3``) make that
 factor exceed 1 in size, so training diverges.  The pbos and pbos-n
 weights sum to 1, so their step is the plain ``lr``.  Subword vectors start
-at zero on first touch, so an untrained model composes the zero vector
-for every word.
+at zero, and a subword without a vector composes as zero, so an untrained
+model composes the zero vector for every word.
+
+All subword vectors live in one float64 matrix, one row per subword, with
+a subword-to-row index (:class:`SubwordEmbeddings`); training, composition,
+saving and loading share it.  A model directory holds:
+
+* ``config``       - ``key<TAB>value`` lines of the training settings;
+* ``subwords.tsv`` - the subword probability table (``write_subwords``);
+* ``vectors.npy``  - the matrix, written by ``np.save`` as float64;
+* ``rows.txt``     - the subword of each matrix row, one per line, in order;
+* ``loss_trace.txt`` - the per-epoch training losses, one ``repr`` float
+  per line.
+
+The matrix and the losses are stored exactly, so a loaded model composes
+bit for bit the vectors the saved one did, and saving it again writes the
+same bytes.  ``load`` memory-maps ``vectors.npy`` read-only instead of
+reading it, checks it (a 2-D float64 matrix with one row per listed
+subword, no subword listed twice, every value finite) and names the file
+in every error it raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -33,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io_formats, lattice
-from .io_formats import TargetEmbeddings
+from .io_formats import FormatError, TargetEmbeddings
 from .subword_stats import SubwordTable
 
 # Reserved boundary markers, assumed absent from the data alphabet.
@@ -42,7 +62,9 @@ BOUNDARY_END = "⟩"    # ⟩
 
 MODEL_CONFIG_FILE = "config"
 MODEL_SUBWORDS_FILE = "subwords.tsv"
-MODEL_VECTORS_FILE = "vectors.txt"
+MODEL_MATRIX_FILE = "vectors.npy"
+MODEL_ROWS_FILE = "rows.txt"
+MODEL_LOSS_FILE = "loss_trace.txt"
 
 
 class Variant(str, Enum):
@@ -93,19 +115,60 @@ class TrainConfig:
         return self.lr0 / math.sqrt(epoch) if self.lr_decay else self.lr0
 
 
-@dataclass
 class SubwordEmbeddings:
-    """Trainable subword-to-vector lookup; vectors start all-zero on
-    first touch and absent subwords compose as the zero vector."""
+    """Subword vectors as one float64 matrix with a subword-to-row index.
 
-    dim: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    Built either from a ``vectors`` mapping (copied into a new matrix) or
+    from a ``matrix`` whose rows belong, in order, to ``subwords``, which
+    it keeps without copying.  Absent subwords compose as the zero vector.
+    """
 
-    def touch(self, subword: str) -> np.ndarray:
-        vec = self.vectors.get(subword)
-        if vec is None:
-            vec = self.vectors[subword] = np.zeros(self.dim)
-        return vec
+    def __init__(
+        self,
+        dim: int,
+        vectors: Mapping[str, np.ndarray] | None = None,
+        *,
+        matrix: np.ndarray | None = None,
+        subwords: Sequence[str] = (),
+    ) -> None:
+        if matrix is None:
+            vectors = vectors or {}
+            subwords = list(vectors)
+            matrix = np.zeros((len(subwords), dim))
+            for row, subword in enumerate(subwords):
+                matrix[row] = vectors[subword]
+        index = {subword: row for row, subword in enumerate(subwords)}
+        if len(index) != len(subwords):
+            duplicate = next(s for s, c in Counter(subwords).items() if c > 1)
+            raise ValueError(f"subword {duplicate!r} is listed twice")
+        if matrix.shape != (len(index), dim):
+            raise ValueError(
+                f"matrix has shape {matrix.shape}, expected ({len(index)}, {dim})"
+            )
+        self.dim = dim
+        self.matrix = matrix
+        self.index = index  # in row order
+
+    @property
+    def vectors(self) -> Mapping[str, np.ndarray]:
+        """Read-only view: subword -> its row of the matrix."""
+        return _RowView(self)
+
+
+class _RowView(Mapping):
+    def __init__(self, embeddings: SubwordEmbeddings) -> None:
+        self._embeddings = embeddings
+
+    def __getitem__(self, subword: str) -> np.ndarray:
+        row = self._embeddings.matrix[self._embeddings.index[subword]]
+        row.flags.writeable = False
+        return row
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._embeddings.index)
+
+    def __len__(self) -> int:
+        return len(self._embeddings.index)
 
 
 def bos_subword_counts(
@@ -140,20 +203,31 @@ def composition_weights(
     return list(lattice.subword_weights(word, table).weights.items())
 
 
-def _combine(
-    pairs: list[tuple[str, float]], embeddings: SubwordEmbeddings, normalize: bool
-) -> np.ndarray:
-    out = np.zeros(embeddings.dim)
-    for subword, weight in pairs:
-        vec = embeddings.vectors.get(subword)
-        if vec is None:
-            continue
-        if normalize:
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                vec = vec / norm
-        out += weight * vec
-    return out
+def _weighted_sum(weights: np.ndarray, gathered: np.ndarray, normalize: bool) -> np.ndarray:
+    """``weights @ gathered``; with ``normalize`` each row is first scaled
+    to unit length (zero rows stay zero)."""
+    if normalize:
+        norms = np.linalg.norm(gathered, axis=1)
+        weights = weights / np.where(norms > 0.0, norms, 1.0)
+    return weights @ gathered
+
+
+@contextlib.contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise a ``ValueError`` as a :class:`FormatError` naming ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 file, split at ``\\n`` only, so that a line
+    may hold any other character; the last line must end in ``\\n``."""
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    if lines.pop():
+        raise FormatError("the last line does not end in a newline")
+    return lines
 
 
 @dataclass
@@ -167,13 +241,30 @@ class PbosModel:
 
     def compose(self, word: str) -> np.ndarray:
         """Compose the vector for any word from its subword vectors."""
-        pairs = composition_weights(word, self.table, self.config)
-        return _combine(
-            pairs, self.embeddings, normalize=self.config.variant is Variant.PBOS_N
+        index = self.embeddings.index
+        rows: list[int] = []
+        weights: list[float] = []
+        for subword, weight in composition_weights(word, self.table, self.config):
+            row = index.get(subword)
+            if row is not None:
+                rows.append(row)
+                weights.append(weight)
+        return _weighted_sum(
+            np.array(weights, dtype=np.float64),
+            self.embeddings.matrix[rows],
+            normalize=self.config.variant is Variant.PBOS_N,
         )
 
     def save(self, directory: str | Path) -> None:
-        """Write ``config``, ``subwords.tsv`` and ``vectors.txt``."""
+        """Write the model directory laid out in the module docstring.
+
+        A vector's subword containing a newline raises ``ValueError``
+        before any file is written.
+        """
+        subwords = self.embeddings.index
+        bad = next((subword for subword in subwords if "\n" in subword), None)
+        if bad is not None:
+            raise ValueError(f"subword contains a newline: {bad!r}")
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         with open(path / MODEL_CONFIG_FILE, "w", encoding="utf-8") as fh:
@@ -181,22 +272,63 @@ class PbosModel:
                 fh.write(f"{key}\t{value}\n")
         with open(path / MODEL_SUBWORDS_FILE, "w", encoding="utf-8") as fh:
             io_formats.write_subwords(self.table, fh)
-        with open(path / MODEL_VECTORS_FILE, "w", encoding="utf-8") as fh:
-            io_formats.write_embeddings(self.embeddings.vectors, fh)
+        # A loaded model maps vectors.npy.  Replacing the file keeps such a
+        # mapping valid (it holds the old file); rewriting it in place
+        # would truncate the pages under it.
+        partial = path / (MODEL_MATRIX_FILE + ".partial")
+        with open(partial, "wb") as fh:
+            np.save(fh, self.embeddings.matrix, allow_pickle=False)
+        os.replace(partial, path / MODEL_MATRIX_FILE)
+        (path / MODEL_ROWS_FILE).write_bytes(
+            "".join(subword + "\n" for subword in subwords).encode("utf-8")
+        )
+        (path / MODEL_LOSS_FILE).write_bytes(
+            "".join(f"{float(value)!r}\n" for value in self.loss_trace).encode("utf-8")
+        )
 
     @classmethod
     def load(cls, directory: str | Path) -> "PbosModel":
+        """Read a directory written by :meth:`save`.
+
+        ``vectors.npy`` is memory-mapped read-only rather than copied into
+        memory.  Every error raised names the file it concerns.
+        """
         path = Path(directory)
-        with open(path / MODEL_CONFIG_FILE, encoding="utf-8") as fh:
-            config = _config_from_mapping(dict(
-                line.rstrip("\n").split("\t", 1) for line in fh if line.strip()
-            ))
-        with open(path / MODEL_SUBWORDS_FILE, encoding="utf-8") as fh:
+        config_path = path / MODEL_CONFIG_FILE
+        with _naming(config_path):
+            config = _config_from_lines(config_path.read_text(encoding="utf-8").splitlines())
+        subwords_path = path / MODEL_SUBWORDS_FILE
+        with _naming(subwords_path), open(subwords_path, encoding="utf-8") as fh:
             table = io_formats.read_subwords(fh)
-        with open(path / MODEL_VECTORS_FILE, encoding="utf-8") as fh:
-            stored = io_formats.read_embeddings(fh)
-        embeddings = SubwordEmbeddings(dim=stored.dim, vectors=stored.entries)
-        return cls(table=table, embeddings=embeddings, config=config)
+        rows_path = path / MODEL_ROWS_FILE
+        with _naming(rows_path):
+            subwords = _read_lines(rows_path)
+        matrix_path = path / MODEL_MATRIX_FILE
+        with _naming(matrix_path):
+            # np.asarray drops the np.memmap subclass, whose per-operation
+            # overhead compose would pay, and keeps the mapping alive
+            matrix = np.asarray(np.load(matrix_path, mmap_mode="r", allow_pickle=False))
+            if matrix.ndim != 2 or matrix.dtype != np.float64 or matrix.shape[1] < 1:
+                raise FormatError(
+                    f"expected a 2-D float64 matrix with at least one column, "
+                    f"got shape {matrix.shape} of {matrix.dtype}"
+                )
+            if matrix.shape[0] != len(subwords):
+                raise FormatError(
+                    f"has {matrix.shape[0]} rows but {rows_path} lists {len(subwords)} subwords"
+                )
+            finite = np.isfinite(matrix).all(axis=1)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise FormatError(
+                    f"row {row + 1} ({subwords[row]!r}) has a non-finite component"
+                )
+        with _naming(rows_path):
+            embeddings = SubwordEmbeddings(matrix.shape[1], matrix=matrix, subwords=subwords)
+        loss_path = path / MODEL_LOSS_FILE
+        with _naming(loss_path):
+            loss_trace = [float(line) for line in _read_lines(loss_path)]
+        return cls(table=table, embeddings=embeddings, config=config, loss_trace=loss_trace)
 
 
 def _config_to_mapping(config: TrainConfig) -> dict[str, str]:
@@ -214,7 +346,17 @@ def _config_to_mapping(config: TrainConfig) -> dict[str, str]:
     }
 
 
-def _config_from_mapping(mapping: dict[str, str]) -> TrainConfig:
+def _config_from_lines(lines: list[str]) -> TrainConfig:
+    """Parse ``key<TAB>value`` lines; blank lines are skipped and an
+    absent key takes the :class:`TrainConfig` default."""
+    mapping: dict[str, str] = {}
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        key, sep, value = line.partition("\t")
+        if not sep:
+            raise FormatError(f"line {number}: malformed config line: {line!r}")
+        mapping[key] = value
     boundary_text = mapping.get("bos_word_boundary", "auto")
     boundary = None if boundary_text == "auto" else boundary_text == "on"
     return TrainConfig(
@@ -286,12 +428,7 @@ def train(
         for index in order:
             rows, weights, step_scale, target = cached[index]
             gathered = matrix[rows]
-            if normalize:
-                norms = np.linalg.norm(gathered, axis=1)
-                composed = (weights / np.where(norms > 0.0, norms, 1.0)) @ gathered
-            else:
-                composed = weights @ gathered
-            residual = composed - target
+            residual = _weighted_sum(weights, gathered, normalize) - target
             squared_sum += float(residual @ residual)
             matrix[rows] = gathered - np.outer(lr * step_scale * weights, residual)
         trace.append(squared_sum / len(cached))
@@ -300,8 +437,7 @@ def train(
         if on_epoch is not None:
             on_epoch(epoch, trace[-1])
 
-    vectors = {subword: matrix[row] for subword, row in subword_rows.items()}
-    embeddings = SubwordEmbeddings(dim=dim, vectors=vectors)
+    embeddings = SubwordEmbeddings(dim, matrix=matrix, subwords=list(subword_rows))
     return PbosModel(table=table, embeddings=embeddings, config=config, loss_trace=trace)
 
 
@@ -342,22 +478,39 @@ def gradient_check(
             "update deliberately does not differentiate through the norm"
         )
     rng = np.random.default_rng(seed)
-    embeddings = model.embeddings
-    worst = 0.0
-    for word, target in targets.entries.items():
-        target = np.asarray(target, dtype=np.float64)
-        pairs = [
+    dim = model.embeddings.dim
+    weighted = {
+        word: [
             (sub, weight)
             for sub, weight in composition_weights(word, model.table, model.config)
             if weight >= 1e-3
         ]
+        for word in targets.entries
+    }
+    # perturb a private copy of the matrix, widened with zero rows for the
+    # weighted subwords that have no vector yet
+    stored = model.embeddings
+    fresh = dict.fromkeys(
+        sub for pairs in weighted.values() for sub, _ in pairs if sub not in stored.index
+    )
+    matrix = np.concatenate([stored.matrix, np.zeros((len(fresh), dim))])
+    probe = PbosModel(
+        table=model.table,
+        embeddings=SubwordEmbeddings(dim, matrix=matrix, subwords=[*stored.index, *fresh]),
+        config=model.config,
+    )
+    index = probe.embeddings.index
+    worst = 0.0
+    for word, target in targets.entries.items():
+        target = np.asarray(target, dtype=np.float64)
+        pairs = weighted[word]
         if not pairs:
             continue
-        residual = model.compose(word) - target
+        residual = probe.compose(word) - target
         coords = [
             (sub, weight, col)
             for sub, weight in pairs
-            for col in range(embeddings.dim)
+            for col in range(dim)
             if abs(2.0 * weight * residual[col]) >= 1e-4
         ]
         if len(coords) > max_coords_per_word:
@@ -365,15 +518,15 @@ def gradient_check(
             coords = [coords[i] for i in picked]
         for subword, weight, col in coords:
             analytic = 2.0 * weight * residual[col]
-            vec = embeddings.touch(subword)
-            original = vec[col]
-            vec[col] = original + h
-            diff = model.compose(word) - target
+            row = index[subword]
+            original = matrix[row, col]
+            matrix[row, col] = original + h
+            diff = probe.compose(word) - target
             f_plus = float(diff @ diff)
-            vec[col] = original - h
-            diff = model.compose(word) - target
+            matrix[row, col] = original - h
+            diff = probe.compose(word) - target
             f_minus = float(diff @ diff)
-            vec[col] = original
+            matrix[row, col] = original
             numeric = (f_plus - f_minus) / (2.0 * h)
             error = abs(analytic - numeric) / max(1e-8, abs(numeric))
             worst = max(worst, error)

@@ -5,7 +5,10 @@ All files are UTF-8.  Embedding files use the word2vec text layout
 separated) written at 9 significant digits.  Reading such a file back
 gives each value to within 5e-9 relative (half a unit in the ninth
 digit), exactly for float32 data, and writing what was read reproduces
-the file byte for byte.
+the file byte for byte.  The text layout serves the target embeddings
+``train`` reads and the vectors ``predict`` writes, nothing else: a model
+keeps its subword vectors in a binary float64 file, stored exactly (see
+:mod:`pbos.embedding_model`).
 Frequency and benchmark readers skip malformed lines and count them.
 Embedding and subword files abort with :class:`FormatError` on a
 structural problem or a value no model can use: a non-finite vector
@@ -95,7 +98,8 @@ def write_embeddings(
     entries: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
     stream: IO[str],
 ) -> None:
-    """Write word2vec text format at 9 significant digits.
+    """Write word2vec text format at 9 significant digits (``predict``
+    output; models are saved in binary).
 
     A value read back differs from the written float64 by at most 5e-9
     relative (half a unit in the ninth digit; exact for float32 data),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pbos import cli
 from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig
@@ -41,14 +42,40 @@ def test_predict_exits_2_on_a_nan_model_vector(tmp_path, capsys):
         config=TrainConfig(),
     )
     model.save(tmp_path / "model")
-    vectors = tmp_path / "model" / "vectors.txt"
-    text = vectors.read_text(encoding="utf-8")
-    assert "b 0 1\n" in text
-    vectors.write_text(text.replace("b 0 1\n", "b 0 nan\n"), encoding="utf-8")
+    matrix_path = tmp_path / "model" / "vectors.npy"
+    rows = (tmp_path / "model" / "rows.txt").read_text(encoding="utf-8").split("\n")
+    matrix = np.load(matrix_path)
+    assert np.array_equal(matrix[rows.index("b")], [0.0, 1.0])
+    matrix[rows.index("b"), 1] = np.nan
+    np.save(matrix_path, matrix)
     words = tmp_path / "words.txt"
     words.write_text("ab\n", encoding="utf-8")
     code = cli.main(["predict", "--model", str(tmp_path / "model"), "--words", str(words)])
     captured = capsys.readouterr()
     assert code == cli.EXIT_DATA
     assert "('b')" in captured.err
+    assert str(matrix_path) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["predict", "eval-ws"])
+def test_model_commands_exit_2_when_the_row_count_mismatches(tmp_path, capsys, command):
+    model = PbosModel(
+        table=SubwordTable({"a": 0.5, "b": 0.5}),
+        embeddings=SubwordEmbeddings(
+            dim=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        ),
+        config=TrainConfig(),
+    )
+    model.save(tmp_path / "model")
+    with open(tmp_path / "model" / "rows.txt", "a", encoding="utf-8") as fh:
+        fh.write("ab\n")
+    inputs = tmp_path / "inputs.txt"
+    inputs.write_text("a\tb\t1.0\nab\tb\t2.0\n", encoding="utf-8")
+    flag = "--words" if command == "predict" else "--pairs"
+    code = cli.main([command, "--model", str(tmp_path / "model"), flag, str(inputs)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert str(tmp_path / "model" / "vectors.npy") in captured.err
+    assert "3 subwords" in captured.err
     assert captured.out == ""

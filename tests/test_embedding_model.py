@@ -339,17 +339,100 @@ def test_model_round_trips_through_directory(tmp_path):
     assert loaded.config == model.config
     assert loaded.table.probs == model.table.probs
     assert loaded.table.prob_eps == model.table.prob_eps
+    assert loaded.loss_trace == model.loss_trace
     for word in words:
-        assert loaded.compose(word) == pytest.approx(model.compose(word), rel=1e-8)
+        # the float64 matrix is stored exactly: bitwise equal vectors
+        assert loaded.compose(word).tobytes() == model.compose(word).tobytes()
 
-    # re-serialization of what the writer produced is byte-identical
+    # re-saving the loaded model writes the same bytes
     loaded.save(tmp_path / "again")
-    first = (tmp_path / "model" / "vectors.txt").read_bytes()
-    second = (tmp_path / "again" / "vectors.txt").read_bytes()
-    assert first == second
-    assert (tmp_path / "model" / "config").read_bytes() == (
-        tmp_path / "again" / "config"
-    ).read_bytes()
-    assert (tmp_path / "model" / "subwords.tsv").read_bytes() == (
-        tmp_path / "again" / "subwords.tsv"
-    ).read_bytes()
+    for name in ("vectors.npy", "rows.txt", "config", "subwords.tsv", "loss_trace.txt"):
+        assert (tmp_path / "model" / name).read_bytes() == (
+            tmp_path / "again" / name
+        ).read_bytes(), name
+
+
+def test_loss_trace_round_trips_exactly(tmp_path):
+    model = make_model(SubwordTable({"a": 1.0}))
+    model.loss_trace = [0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, 0.0]
+    model.save(tmp_path)
+    assert PbosModel.load(tmp_path).loss_trace == model.loss_trace
+
+
+def test_subwords_with_spaces_and_non_ascii_round_trip(tmp_path):
+    vectors = {
+        "a b": np.array([1.0, -2.0]),
+        "\u00e9t\u00e9": np.array([0.5, 0.25]),
+        BOUNDARY_START + "x\ry\t": np.array([-0.0, 3.0]),
+    }
+    make_model(SubwordTable({"a": 1.0}), vectors=vectors).save(tmp_path)
+    loaded = PbosModel.load(tmp_path)
+    assert list(loaded.embeddings.vectors) == list(vectors)
+    for subword, vector in vectors.items():
+        assert loaded.embeddings.vectors[subword].tobytes() == vector.tobytes()
+
+
+def test_save_rejects_a_subword_with_a_newline(tmp_path):
+    model = make_model(SubwordTable({"a": 1.0}), vectors={"a\nb": np.ones(2)})
+    with pytest.raises(ValueError, match="newline"):
+        model.save(tmp_path / "model")
+    assert not (tmp_path / "model").exists()
+
+
+def test_loaded_matrix_is_memory_mapped_read_only(tmp_path):
+    make_model(SubwordTable({"a": 1.0}), vectors={"a": np.ones(2)}).save(tmp_path)
+    matrix = PbosModel.load(tmp_path).embeddings.matrix
+    assert type(matrix) is np.ndarray
+    assert isinstance(matrix.base, np.memmap)
+    assert not matrix.flags.writeable
+
+
+def test_saving_over_the_loaded_directory_keeps_the_loaded_model(tmp_path):
+    make_model(SubwordTable({"a": 1.0}), vectors={"a": np.array([1.0, 2.0])}).save(tmp_path)
+    loaded = PbosModel.load(tmp_path)
+    make_model(SubwordTable({"a": 1.0}), vectors={"a": np.array([7.0, 8.0])}).save(tmp_path)
+    assert np.array_equal(loaded.compose("a"), [1.0, 2.0])
+    loaded.save(tmp_path)
+    assert np.array_equal(PbosModel.load(tmp_path).compose("a"), [1.0, 2.0])
+
+
+def test_vectors_view_is_read_only():
+    model = make_model(SubwordTable({"a": 1.0}), vectors={"a": np.array([1.0, 2.0])})
+    view = model.embeddings.vectors
+    assert view.get("zz") is None
+    assert "a" in view and len(view) == 1
+    with pytest.raises(TypeError):
+        view["b"] = np.zeros(2)
+    with pytest.raises(ValueError):
+        view["a"][0] = 5.0
+    assert np.array_equal(model.compose("a"), [1.0, 2.0])
+
+
+def _write(name, text):
+    return lambda d: (d / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage, name", [
+    (lambda d: (d / "vectors.npy").unlink(), "vectors.npy"),
+    (lambda d: (d / "loss_trace.txt").unlink(), "loss_trace.txt"),
+    (_write("config", "epochs 3\n"), "config"),
+    (_write("config", "epochs\tmany\n"), "config"),
+    (_write("config", "variant\tcbow\n"), "config"),
+    (_write("subwords.tsv", "a\t2.0\n"), "subwords.tsv"),
+    (_write("subwords.tsv", "a 0.5\n"), "subwords.tsv"),
+    (lambda d: np.save(d / "vectors.npy", np.zeros((2, 2), dtype=np.float32)), "vectors.npy"),
+    (lambda d: np.save(d / "vectors.npy", np.zeros(4)), "vectors.npy"),
+    (lambda d: np.save(d / "vectors.npy", np.zeros((3, 2))), "vectors.npy"),
+    (lambda d: np.save(d / "vectors.npy", np.array([[1.0, 2.0], [np.inf, 0.0]])), "vectors.npy"),
+    (lambda d: (d / "vectors.npy").write_bytes(b"not an array"), "vectors.npy"),
+    (_write("rows.txt", "a\na\n"), "rows.txt"),
+    (_write("rows.txt", "a\nb"), "rows.txt"),
+    (_write("loss_trace.txt", "0.5\nlow\n"), "loss_trace.txt"),
+])
+def test_load_errors_name_the_file(tmp_path, damage, name):
+    vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+    make_model(SubwordTable({"a": 0.5, "b": 0.5}), vectors=vectors).save(tmp_path)
+    damage(tmp_path)
+    with pytest.raises((ValueError, OSError)) as caught:
+        PbosModel.load(tmp_path)
+    assert str(tmp_path / name) in str(caught.value)
