@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 from . import io_formats, lattice
 from .embedding_model import PbosModel, TrainConfig, Variant, train
-from .evaluation import evaluate_affix_dataset, filter_affix_dataset, word_similarity
-from .subword_stats import build_table
+from .evaluation import DEFAULT_NORM_FLOOR, evaluate_affix_dataset, filter_affix_dataset, word_similarity
+from .subword_stats import SubwordTable, build_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--freqs", required=True, help="frequency list (word,count or word<TAB>count per line)")
     p.add_argument("--max-len", type=int, default=None, help="cap on counted subword length (default: unbounded)")
-    p.add_argument("--prob-eps", type=float, default=0.01, help="fallback probability for unknown single characters")
+    p.add_argument("--prob-eps", type=float, default=SubwordTable.prob_eps, help="fallback probability for unknown single characters")
     p.add_argument("--lowercase", action="store_true", help="lowercase words before counting")
     p.add_argument("--out", required=True, help="output subwords.tsv path")
     p.set_defaults(run=_cmd_build_subwords)
@@ -66,19 +67,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--target", required=True, help="target embeddings (word2vec text format)")
     p.add_argument("--subwords", required=True, help="subword probability file")
-    p.add_argument("--variant", choices=[v.value for v in Variant], default="pbos", help="composition variant")
-    p.add_argument("--epochs", type=int, default=50, help="training epochs")
-    p.add_argument("--lr", type=float, default=1.0, help="initial learning rate")
-    p.add_argument("--lr-decay", action=argparse.BooleanOptionalAction, default=True,
+    # each TrainConfig field has one flag, with the field's name as dest
+    p.add_argument("--variant", choices=[v.value for v in Variant], default=TrainConfig.variant.value, help="composition variant")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    p.add_argument("--lr", dest="lr0", type=float, default=TrainConfig.lr0, help="initial learning rate")
+    p.add_argument("--lr-decay", action=argparse.BooleanOptionalAction, default=TrainConfig.lr_decay,
                    help="decay the learning rate with the inverse square root of the epoch")
-    p.add_argument("--bos-min-len", type=int, default=3, help="minimum n-gram length (bos variant)")
-    p.add_argument("--bos-max-len", type=int, default=6, help="maximum n-gram length (bos variant)")
-    p.add_argument("--bos-word-boundary", choices=["auto", "on", "off"], default="auto",
-                   help="wrap words in boundary markers before n-gram extraction "
-                        "(auto: on for bos, off otherwise)")
+    p.add_argument("--bos-min-len", type=int, default=TrainConfig.bos_min_len, help="minimum n-gram length (bos variant)")
+    p.add_argument("--bos-max-len", type=int, default=TrainConfig.bos_max_len, help="maximum n-gram length (bos variant)")
+    p.add_argument("--bos-word-boundary", action=argparse.BooleanOptionalAction, default=TrainConfig.bos_word_boundary,
+                   help="wrap words in boundary markers before n-gram extraction (bos variant)")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="RNG seed for epoch shuffling")
     p.add_argument("--prob-eps", type=float, default=None,
                    help="override the fallback probability stored in the subwords file")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for epoch shuffling")
     p.add_argument("--out", required=True, help="output model directory")
     p.set_defaults(run=_cmd_train)
 
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--pairs", required=True, help="benchmark file (word1<TAB>word2<TAB>score)")
-    p.add_argument("--norm-floor", type=float, default=1e-8,
+    p.add_argument("--norm-floor", type=float, default=DEFAULT_NORM_FLOOR,
                    help="pairs with a composed vector below this norm score 0")
     p.set_defaults(run=_cmd_eval_ws)
 
@@ -149,10 +150,9 @@ def _cmd_build_subwords(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    config = TrainConfig(**{setting.name: getattr(args, setting.name) for setting in fields(TrainConfig)})
     table = _read_subwords(args.subwords)
-    if args.prob_eps is not None and args.prob_eps != table.prob_eps:
-        from dataclasses import replace
-
+    if args.prob_eps is not None:
         table = replace(table, prob_eps=args.prob_eps)
     with open(args.target, encoding="utf-8") as fh:
         try:
@@ -163,18 +163,6 @@ def _cmd_train(args) -> int:
             ) from None
     if targets.duplicates_skipped:
         _info(f"skipped {targets.duplicates_skipped} duplicate target tokens")
-    boundary = {"auto": None, "on": True, "off": False}[args.bos_word_boundary]
-    config = TrainConfig(
-        epochs=args.epochs,
-        lr0=args.lr,
-        lr_decay=args.lr_decay,
-        variant=Variant(args.variant),
-        bos_min_len=args.bos_min_len,
-        bos_max_len=args.bos_max_len,
-        bos_word_boundary=boundary,
-        prob_eps=table.prob_eps,
-        seed=args.seed,
-    )
     model = train(
         targets, table, config,
         on_epoch=lambda epoch, value: print(f"{epoch}\t{value:.9g}"),

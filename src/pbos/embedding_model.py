@@ -24,7 +24,8 @@ All subword vectors live in one float64 matrix, one row per subword, with
 a subword-to-row index (:class:`SubwordEmbeddings`); training, composition,
 saving and loading share it.  A model directory holds:
 
-* ``config``       - ``key<TAB>value`` lines of the training settings;
+* ``config``       - one ``name<TAB>value`` line per :class:`TrainConfig`
+  field (int, ``repr`` float, ``true``/``false``, variant value);
 * ``subwords.tsv`` - the subword probability table (``write_subwords``);
 * ``vectors.npy``  - the matrix, written by ``np.save`` as float64;
 * ``rows.txt``     - the subword of each matrix row, one per line, in order;
@@ -36,7 +37,9 @@ bit for bit the vectors the saved one did, and saving it again writes the
 same bytes.  ``load`` memory-maps ``vectors.npy`` read-only instead of
 reading it, checks it (a 2-D float64 matrix with one row per listed
 subword, no subword listed twice, every value finite) and names the file
-in every error it raises.
+in every error it raises.  An unknown or repeated ``config`` name, or a
+value outside its field's encoding, is such an error, so models whose
+``config`` holds the retired ``prob_eps`` or ``auto`` values do not load.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import math
 import os
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -75,9 +78,9 @@ class Variant(str, Enum):
 
 @dataclass
 class TrainConfig:
-    """Training settings; the defaults are the word-similarity settings
-    (50 epochs, lr 1.0 with inverse-square-root decay, prob_eps 0.01,
-    n-grams of length 3..6 with boundary markers in bos mode)."""
+    """Training settings; the defaults are the word-similarity settings.
+    The fallback probability for unknown characters belongs to the
+    subword table (``SubwordTable.prob_eps``), not to training."""
 
     epochs: int = 50
     lr0: float = 1.0
@@ -85,30 +88,25 @@ class TrainConfig:
     variant: Variant = Variant.PBOS
     bos_min_len: int = 3
     bos_max_len: int = 6
-    bos_word_boundary: bool | None = None  # None: on for bos, off otherwise
-    prob_eps: float = 0.01
+    bos_word_boundary: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr0 <= 0.0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if not 0.0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 1 <= self.bos_min_len <= self.bos_max_len:
             raise ValueError(
                 f"need 1 <= bos_min_len <= bos_max_len, got "
                 f"{self.bos_min_len}..{self.bos_max_len}"
             )
-        if not 0.0 < self.prob_eps < 1.0:
-            raise ValueError(f"prob_eps must be in (0, 1), got {self.prob_eps}")
         if not isinstance(self.variant, Variant):
             self.variant = Variant(self.variant)
 
     @property
     def use_word_boundary(self) -> bool:
-        if self.bos_word_boundary is None:
-            return self.variant is Variant.BOS
-        return self.bos_word_boundary
+        return self.variant is Variant.BOS and self.bos_word_boundary
 
     def learning_rate(self, epoch: int) -> float:
         """Learning rate for 1-based epoch ``epoch``."""
@@ -175,7 +173,10 @@ def bos_subword_counts(
     word: str, min_len: int, max_len: int, word_boundary: bool
 ) -> Counter[str]:
     """Occurrence counts of character n-grams with lengths in
-    [min_len, max_len], over the boundary-marked word when requested."""
+    [min_len, max_len], over the boundary-marked word when requested;
+    a marker inside the word would make its n-grams another word's."""
+    if word_boundary and (BOUNDARY_START in word or BOUNDARY_END in word):
+        raise ValueError(f"word {word!r} contains a reserved boundary marker")
     marked = BOUNDARY_START + word + BOUNDARY_END if word_boundary else word
     counts: Counter[str] = Counter()
     n = len(marked)
@@ -268,8 +269,8 @@ class PbosModel:
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         with open(path / MODEL_CONFIG_FILE, "w", encoding="utf-8") as fh:
-            for key, value in _config_to_mapping(self.config).items():
-                fh.write(f"{key}\t{value}\n")
+            for setting in fields(TrainConfig):
+                fh.write(f"{setting.name}\t{_encode(getattr(self.config, setting.name))}\n")
         with open(path / MODEL_SUBWORDS_FILE, "w", encoding="utf-8") as fh:
             io_formats.write_subwords(self.table, fh)
         # A loaded model maps vectors.npy.  Replacing the file keeps such a
@@ -331,45 +332,33 @@ class PbosModel:
         return cls(table=table, embeddings=embeddings, config=config, loss_trace=loss_trace)
 
 
-def _config_to_mapping(config: TrainConfig) -> dict[str, str]:
-    boundary = config.bos_word_boundary
-    return {
-        "epochs": str(config.epochs),
-        "lr0": repr(config.lr0),
-        "lr_decay": "true" if config.lr_decay else "false",
-        "variant": config.variant.value,
-        "bos_min_len": str(config.bos_min_len),
-        "bos_max_len": str(config.bos_max_len),
-        "bos_word_boundary": "auto" if boundary is None else ("on" if boundary else "off"),
-        "prob_eps": repr(config.prob_eps),
-        "seed": str(config.seed),
-    }
+_BOOLS = {"true": True, "false": False}
+
+
+def _encode(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value.value if isinstance(value, Variant) else repr(value)
 
 
 def _config_from_lines(lines: list[str]) -> TrainConfig:
-    """Parse ``key<TAB>value`` lines; blank lines are skipped and an
-    absent key takes the :class:`TrainConfig` default."""
-    mapping: dict[str, str] = {}
+    """Parse the ``name<TAB>value`` lines :meth:`PbosModel.save` writes;
+    blank lines are skipped and an absent field takes its default."""
+    # every field's default has the field's type
+    kinds = {setting.name: type(setting.default) for setting in fields(TrainConfig)}
+    values: dict[str, object] = {}
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        key, sep, value = line.partition("\t")
-        if not sep:
-            raise FormatError(f"line {number}: malformed config line: {line!r}")
-        mapping[key] = value
-    boundary_text = mapping.get("bos_word_boundary", "auto")
-    boundary = None if boundary_text == "auto" else boundary_text == "on"
-    return TrainConfig(
-        epochs=int(mapping.get("epochs", "50")),
-        lr0=float(mapping.get("lr0", "1.0")),
-        lr_decay=mapping.get("lr_decay", "true") == "true",
-        variant=Variant(mapping.get("variant", "pbos")),
-        bos_min_len=int(mapping.get("bos_min_len", "3")),
-        bos_max_len=int(mapping.get("bos_max_len", "6")),
-        bos_word_boundary=boundary,
-        prob_eps=float(mapping.get("prob_eps", "0.01")),
-        seed=int(mapping.get("seed", "0")),
-    )
+        name, sep, text = line.partition("\t")
+        if not sep or name not in kinds or name in values:
+            raise FormatError(f"line {number}: malformed, unknown or repeated setting: {line!r}")
+        kind = kinds[name]
+        try:
+            values[name] = _BOOLS[text] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            raise FormatError(f"line {number}: bad value for {name}: {text!r}") from None
+    return TrainConfig(**values)
 
 
 def train(

@@ -165,45 +165,51 @@ def read_freqs(stream: IO[str]) -> tuple[list[tuple[str, int]], int]:
     return entries, skipped
 
 
+# A line is a table header only when it starts with one of these; any
+# other line, one that starts with ``#`` included, holds a subword.
+_HEADERS = ("# prob_eps\t", "# max_len\t", "# total_mass\t")
+_HEADER_SUBWORDS = frozenset(header[:-1] for header in _HEADERS)
+
+
 def write_subwords(table: SubwordTable, stream: IO[str]) -> None:
-    """Write ``subword<TAB>probability`` lines, with table metadata in
-    leading ``#`` comments so a table round-trips exactly."""
+    """Write ``subword<TAB>probability`` lines after three header lines
+    holding the table's other fields, so a table round-trips exactly.
+
+    A subword that holds a tab or newline, or that would read back as a
+    header line, raises ``ValueError``.
+    """
     stream.write(f"# prob_eps\t{table.prob_eps!r}\n")
     stream.write(f"# max_len\t{'none' if table.max_len is None else table.max_len}\n")
     stream.write(f"# total_mass\t{table.total_mass!r}\n")
     for subword in sorted(table.probs):
         if "\t" in subword or "\n" in subword:
             raise ValueError(f"subword contains a tab or newline: {subword!r}")
+        if subword in _HEADER_SUBWORDS:
+            raise ValueError(f"subword would read back as a header line: {subword!r}")
         stream.write(f"{subword}\t{table.probs[subword]!r}\n")
 
 
 def read_subwords(stream: IO[str]) -> SubwordTable:
-    """Parse a file written by :func:`write_subwords`.
+    """Parse a file written by :func:`write_subwords`; an absent header
+    takes the :class:`SubwordTable` default.
 
     A probability outside (0, 1] (nan and inf included) or a ``prob_eps``
     header outside (0, 1) raises :class:`FormatError` naming the line.
     """
-    prob_eps = 0.01
-    max_len: int | None = None
-    total_mass = 0.0
+    header: dict[str, float | int | None] = {}
     probs: dict[str, float] = {}
     for number, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition("\t")
-            key = key.strip()
-            value = value.strip()
-            if key == "prob_eps":
-                prob_eps = _parse_float(value, number)
-                if not 0.0 < prob_eps < 1.0:
-                    raise FormatError(f"line {number}: prob_eps must be in (0, 1), got {value!r}")
-            elif key == "max_len":
-                max_len = None if value == "none" else int(value)
-            elif key == "total_mass":
-                total_mass = float(value)
+        if line.startswith("#") and line.startswith(_HEADERS):
+            key, _, value = line[2:].partition("\t")
+            if key == "max_len":
+                header[key] = None if value == "none" else int(value)
+            else:
+                header[key] = _parse_float(value, number)
+            if key == "prob_eps" and not 0.0 < header[key] < 1.0:
+                raise FormatError(f"line {number}: prob_eps must be in (0, 1), got {value!r}")
             continue
         subword, sep, value = line.partition("\t")
         if not sep or not subword:
@@ -216,9 +222,7 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
         probs[subword] = prob
     if not probs:
         raise FormatError("subword file contains no subwords")
-    return SubwordTable(
-        probs=probs, prob_eps=prob_eps, max_len=max_len, total_mass=total_mass
-    )
+    return SubwordTable(probs, **header)
 
 
 def _parse_float(text: str, number: int) -> float:

@@ -40,15 +40,19 @@ class SubwordTable:
     """Immutable subword probability lookup.
 
     ``probs`` maps each counted subword to a probability in (0, 1].
-    Single characters missing from the table fall back to ``prob_eps`` so
-    that every string keeps at least one valid segmentation; missing
-    strings of length >= 2 have probability exactly 0.
+    Single characters missing from the table fall back to ``prob_eps``, in
+    (0, 1), so that every string keeps at least one valid segmentation;
+    missing strings of length >= 2 have probability exactly 0.
     """
 
     probs: dict[str, float]
     prob_eps: float = 0.01
     max_len: int | None = None
     total_mass: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.prob_eps < 1.0:
+            raise ValueError(f"prob_eps must be in (0, 1), got {self.prob_eps}")
 
     def lookup(self, subword: str) -> float:
         if not subword:
@@ -68,7 +72,7 @@ class SubwordTable:
 def build_table(
     freqs: WordFreqList,
     max_len: int | None = None,
-    prob_eps: float = 0.01,
+    prob_eps: float = SubwordTable.prob_eps,
 ) -> SubwordTable:
     """Count substring occurrences weighted by word frequency.
 
@@ -77,8 +81,6 @@ def build_table(
     subword.  Probabilities are raw counts over the total of all raw
     counts; the total is recorded as ``total_mass``.
     """
-    if not 0.0 < prob_eps < 1.0:
-        raise ValueError(f"prob_eps must be in (0, 1), got {prob_eps}")
     if max_len is not None and max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
 

@@ -1,8 +1,11 @@
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from pbos import cli
-from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig
+from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig, Variant
 from pbos.subword_stats import SubwordTable
 
 
@@ -79,3 +82,94 @@ def test_model_commands_exit_2_when_the_row_count_mismatches(tmp_path, capsys, c
     assert str(tmp_path / "model" / "vectors.npy") in captured.err
     assert "3 subwords" in captured.err
     assert captured.out == ""
+
+
+def _train_inputs(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("2 2\nab 1.0 -1.0\nba 0.5 0.5\n", encoding="utf-8")
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t0.5\nb\t0.5\nab\t0.25\n", encoding="utf-8")
+    return ["train", "--target", str(target), "--subwords", str(subwords)]
+
+
+def test_train_with_the_required_flags_saves_the_default_config(tmp_path):
+    out = tmp_path / "model"
+    assert cli.main([*_train_inputs(tmp_path), "--out", str(out)]) == cli.EXIT_OK
+    assert PbosModel.load(out).config == TrainConfig(seed=0)
+
+
+def test_train_saves_every_flag_it_was_given(tmp_path):
+    expected = TrainConfig(
+        epochs=3, lr0=0.5, lr_decay=False, variant=Variant.BOS,
+        bos_min_len=2, bos_max_len=4, bos_word_boundary=False, seed=7,
+    )
+    assert all(getattr(expected, f.name) != f.default for f in fields(TrainConfig))
+    out = tmp_path / "model"
+    code = cli.main([
+        *_train_inputs(tmp_path), "--epochs", "3", "--lr", "0.5", "--no-lr-decay",
+        "--variant", "bos", "--bos-min-len", "2", "--bos-max-len", "4",
+        "--no-bos-word-boundary", "--seed", "7", "--prob-eps", "0.25", "--out", str(out),
+    ])
+    assert code == cli.EXIT_OK
+    loaded = PbosModel.load(out)
+    assert loaded.config == expected
+    assert loaded.table.prob_eps == 0.25
+
+
+@pytest.mark.parametrize("prob_eps", ["0", "1.5"])
+def test_train_exits_2_on_a_prob_eps_outside_the_open_unit_interval(tmp_path, capsys, prob_eps):
+    out = tmp_path / "model"
+    code = cli.main([*_train_inputs(tmp_path), "--prob-eps", prob_eps, "--epochs", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.out == ""  # no epoch ran
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_checks_the_learning_rate_before_reading_any_file(tmp_path, capsys, lr):
+    missing = str(tmp_path / "missing")
+    code = cli.main(["train", "--target", missing, "--subwords", missing, "--lr", lr, "--out", missing])
+    assert code == cli.EXIT_DATA
+    assert "lr0" in capsys.readouterr().err
+
+
+def test_bos_train_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("2 2\nab 1.0 -1.0\na⟩⟨b 0.5 0.5\n", encoding="utf-8")
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t0.5\nb\t0.5\n", encoding="utf-8")
+    out = tmp_path / "model"
+    code = cli.main([
+        "train", "--target", str(target), "--subwords", str(subwords), "--variant", "bos",
+        "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert "'a⟩⟨b'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_bos_predict_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys):
+    model = PbosModel(
+        table=SubwordTable({"a": 0.5}),
+        embeddings=SubwordEmbeddings(dim=2, vectors={"⟨a⟩": np.array([1.0, 0.0])}),
+        config=TrainConfig(variant=Variant.BOS, bos_min_len=1),
+    )
+    model.save(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    words.write_text("a\na⟩⟨b\n", encoding="utf-8")
+    code = cli.main(["predict", "--model", str(tmp_path / "model"), "--words", str(words)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert "'a⟩⟨b'" in captured.err
+    assert captured.out == ""
+
+
+def test_every_subcommand_help_exits_0(capsys):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ["--help", *(f"{name} --help" for name in subparsers.choices)]:
+        assert cli.main(command.split()) == cli.EXIT_OK
+        assert "usage:" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ def test_defaults_match_published_word_similarity_settings():
     assert config.variant is Variant.PBOS
     assert config.bos_min_len == 3
     assert config.bos_max_len == 6
-    assert config.prob_eps == 0.01
+    assert SubwordTable({}).prob_eps == 0.01
     assert config.use_word_boundary is False
     assert TrainConfig(variant=Variant.BOS).use_word_boundary is True
 
@@ -60,7 +62,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(bos_min_len=4, bos_max_len=3)
     with pytest.raises(ValueError):
-        TrainConfig(prob_eps=1.5)
+        SubwordTable({}, prob_eps=1.5)
+
+
+@pytest.mark.parametrize("lr0", [math.nan, math.inf])
+def test_config_rejects_a_non_finite_learning_rate(lr0):
+    with pytest.raises(ValueError, match="lr0"):
+        TrainConfig(lr0=lr0)
 
 
 # --- composition --------------------------------------------------------------
@@ -91,6 +99,13 @@ def test_bos_counts_use_boundary_markers():
     marked = BOUNDARY_START + "ab" + BOUNDARY_END
     assert set(counts) == {marked[:3], marked[1:], marked}
     assert all(count == 1 for count in counts.values())
+
+
+@pytest.mark.parametrize("word", ["a⟩⟨b", "⟨a", "a⟩"])
+def test_bos_counts_reject_words_holding_a_boundary_marker(word):
+    with pytest.raises(ValueError, match=repr(word)):
+        bos_subword_counts(word, 3, 6, word_boundary=True)
+    assert bos_subword_counts(word, 1, 1, word_boundary=False)
 
 
 def test_bos_counts_repeated_ngrams():
@@ -418,6 +433,10 @@ def _write(name, text):
     (_write("config", "epochs 3\n"), "config"),
     (_write("config", "epochs\tmany\n"), "config"),
     (_write("config", "variant\tcbow\n"), "config"),
+    (_write("config", "epoch\t5\n"), "config"),
+    (_write("config", "lr_decay\tTrue\n"), "config"),
+    (_write("config", "bos_word_boundary\tauto\n"), "config"),
+    (_write("config", "prob_eps\t0.01\n"), "config"),
     (_write("subwords.tsv", "a\t2.0\n"), "subwords.tsv"),
     (_write("subwords.tsv", "a 0.5\n"), "subwords.tsv"),
     (lambda d: np.save(d / "vectors.npy", np.zeros((2, 2), dtype=np.float32)), "vectors.npy"),

@@ -18,7 +18,7 @@ from pbos.io_formats import (
     write_embeddings,
     write_subwords,
 )
-from pbos.subword_stats import build_table
+from pbos.subword_stats import SubwordTable, build_table
 
 
 # --- embeddings ---------------------------------------------------------------
@@ -158,6 +158,25 @@ def test_subword_table_round_trip_is_exact():
     assert loaded.prob_eps == table.prob_eps
     assert loaded.max_len == table.max_len
     assert loaded.total_mass == table.total_mass
+
+
+def test_subwords_starting_with_a_hash_round_trip():
+    probs = {"#a": 0.5, "#": 0.25, "# prob_eps x": 0.125, "#max_len": 0.5, "# total_mass ": 0.5}
+    table = SubwordTable(probs, prob_eps=0.02)
+    buffer = io.StringIO()
+    write_subwords(table, buffer)
+    loaded = read_subwords(io.StringIO(buffer.getvalue()))
+    assert loaded == table
+
+
+@pytest.mark.parametrize("subword", ["# prob_eps", "# max_len", "# total_mass"])
+def test_write_subwords_rejects_a_subword_that_reads_as_a_header(subword):
+    with pytest.raises(ValueError, match="header"):
+        write_subwords(SubwordTable({subword: 0.5, "a": 0.5}), io.StringIO())
+
+
+def test_read_subwords_without_headers_takes_the_table_defaults():
+    assert read_subwords(io.StringIO("a\t0.5\n")) == SubwordTable({"a": 0.5})
 
 
 def test_read_subwords_rejects_empty_and_malformed():
