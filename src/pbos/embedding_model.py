@@ -92,6 +92,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # each field takes the type of its default (a float field also an
+        # int); bool is a subclass of int, so it is told apart explicitly
+        for setting in fields(self):
+            kind = type(setting.default)
+            value = getattr(self, setting.name)
+            if kind is Variant:
+                continue
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) is not (kind is bool) or not isinstance(value, allowed):
+                raise ValueError(f"{setting.name} must be of type {kind.__name__}, got {value!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 < self.lr0 < math.inf:

@@ -193,8 +193,10 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
     """Parse a file written by :func:`write_subwords`; an absent header
     takes the :class:`SubwordTable` default.
 
-    A probability outside (0, 1] (nan and inf included) or a ``prob_eps``
-    header outside (0, 1) raises :class:`FormatError` naming the line.
+    A probability outside (0, 1] (nan and inf included), or a header
+    value that is malformed or that :class:`SubwordTable` rejects (a
+    ``prob_eps`` outside (0, 1), a ``max_len`` below 1), raises
+    :class:`FormatError` naming the line.
     """
     header: dict[str, float | int | None] = {}
     probs: dict[str, float] = {}
@@ -205,11 +207,13 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
         if line.startswith("#") and line.startswith(_HEADERS):
             key, _, value = line[2:].partition("\t")
             if key == "max_len":
-                header[key] = None if value == "none" else int(value)
+                header[key] = None if value == "none" else _parse_int(value, number)
             else:
                 header[key] = _parse_float(value, number)
-            if key == "prob_eps" and not 0.0 < header[key] < 1.0:
-                raise FormatError(f"line {number}: prob_eps must be in (0, 1), got {value!r}")
+            try:
+                SubwordTable({}, **{key: header[key]})  # the table checks its fields
+            except ValueError as exc:
+                raise FormatError(f"line {number}: {exc}") from None
             continue
         subword, sep, value = line.partition("\t")
         if not sep or not subword:
@@ -230,6 +234,13 @@ def _parse_float(text: str, number: int) -> float:
         return float(text)
     except ValueError:
         raise FormatError(f"line {number}: not a number: {text!r}") from None
+
+
+def _parse_int(text: str, number: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"line {number}: not an integer: {text!r}") from None
 
 
 def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:

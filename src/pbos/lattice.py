@@ -9,9 +9,20 @@ product of its edge weights.
 Every path through a fixed edge splits into a left part, the edge, and a
 right part, so the marginal mass of a subword occurrence factors into
 (forward path sum) * (edge weight) * (backward path sum).  One pass looks
-up every span once, keeps the nonzero ones, and runs the forward and
+up the spans once, keeps the nonzero ones, and runs the forward and
 backward recursions over them, which gives all per-subword weights in
 O(n^2) arithmetic instead of enumerating paths.
+
+The pass stops each start i at the first span ``word[i:j]`` of two or
+more characters that begins no key of the table (``SubwordTable.stems``).
+Every longer span from i begins with that one, so it is absent from the
+table too and has probability exactly 0 (only single characters fall
+back to ``prob_eps``).  A zero span adds nothing to any path sum or
+weight and is not kept, so the pruned pass yields the same spans, sums
+and weights, bit for bit, as one that looks up all n(n+1)/2 spans.  For
+a long word nearly every span is absent, so the pass makes about n times
+the length of the longest key found in the word lookups instead of
+n(n+1)/2.
 
 Path sums of long words fall below the smallest float, so the pass keeps
 each one as a mantissa in [0.5, 1) and an integer power-of-two exponent,
@@ -84,8 +95,8 @@ def _check_word(word: str, limit: int = MAX_WORD_LEN) -> None:
 def _scaled_pass(
     word: str, table: SubwordTable
 ) -> tuple[list[list[_Span]], _Sums, _Sums, dict[str, float]]:
-    """Look up every span of ``word`` once; run both path-sum recursions
-    and accumulate the subword weights.
+    """Look up the spans of ``word`` that can be nonzero, once each; run
+    both path-sum recursions and accumulate the subword weights.
 
     Returns ``(starts, forward, backward, weights)``.  ``starts[i]`` lists
     the nonzero spans that begin at i, in ascending order of their end.
@@ -99,7 +110,7 @@ def _scaled_pass(
     """
     _check_word(word)
     n = len(word)
-    lookup = table.lookup
+    get, stems, eps = table.probs.get, table.stems, table.prob_eps
     frexp, ldexp = math.frexp, math.ldexp
     starts: list[list[_Span]] = [[] for _ in range(n + 1)]
     bwd_m, bwd_e = [0.0] * (n + 1), [0] * (n + 1)
@@ -109,7 +120,14 @@ def _scaled_pass(
         acc, top = 0.0, _EMPTY_EXP
         for j in range(i + 1, n + 1):
             sub = word[i:j]
-            prob = lookup(sub)
+            prob = get(sub)
+            if prob is None:
+                if j == i + 1:
+                    prob = eps
+                elif sub in stems:
+                    continue
+                else:
+                    break  # no key begins with sub: the rest of the row is 0
             if prob:
                 m, e = frexp(prob)
                 out.append((j, m, e, sub))

@@ -15,8 +15,9 @@ are in characters, never bytes.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 # A word frequency list is any mapping or iterable of (word, count) pairs.
 WordFreqList = Iterable[tuple[str, int]] | Mapping[str, int]
@@ -43,6 +44,12 @@ class SubwordTable:
     Single characters missing from the table fall back to ``prob_eps``, in
     (0, 1), so that every string keeps at least one valid segmentation;
     missing strings of length >= 2 have probability exactly 0.
+    ``max_len`` records the longest subword length counted (None when
+    unbounded).
+
+    ``stems`` is computed from ``probs`` at its first use (the lattice
+    reads it) and cached, so ``probs`` must not be mutated after the
+    table has been used by the lattice.
     """
 
     probs: dict[str, float]
@@ -53,6 +60,28 @@ class SubwordTable:
     def __post_init__(self) -> None:
         if not 0.0 < self.prob_eps < 1.0:
             raise ValueError(f"prob_eps must be in (0, 1), got {self.prob_eps}")
+        if self.max_len is not None and (
+            isinstance(self.max_len, bool)
+            or not isinstance(self.max_len, int)
+            or self.max_len < 1
+        ):
+            raise ValueError(f"max_len must be None or an int >= 1, got {self.max_len!r}")
+
+    @cached_property
+    def stems(self) -> Container[str]:
+        """Holds every string of length >= 2 that begins some key.
+
+        A table is prefix-closed when every prefix of length >= 2 of a
+        key is itself a key; ``build_table`` always makes one, and then
+        ``stems`` is ``probs`` itself.  Any other table gets the frozenset
+        of all key prefixes of length >= 2.
+        """
+        probs = self.probs
+        if all(key[:-1] in probs for key in probs if len(key) > 2):
+            return probs
+        return frozenset(
+            key[:end] for key in probs for end in range(2, len(key) + 1)
+        )
 
     def lookup(self, subword: str) -> float:
         if not subword:
@@ -81,9 +110,6 @@ def build_table(
     subword.  Probabilities are raw counts over the total of all raw
     counts; the total is recorded as ``total_mass``.
     """
-    if max_len is not None and max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-
     merged = merge_freqs(freqs)
     if not merged:
         raise ValueError("empty frequency list")
@@ -102,11 +128,13 @@ def build_table(
             for j in range(i + 1, stop + 1):
                 counts[word[i:j]] += count
 
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("all frequency counts are zero")
-    scale = float(total)
+    scale = float(sum(counts.values()))
     probs = {subword: count / scale for subword, count in counts.items()}
-    return SubwordTable(
+    # the table checks max_len and prob_eps; a max_len below 1 counts
+    # nothing, so its check comes before the one on the total
+    table = SubwordTable(
         probs=probs, prob_eps=prob_eps, max_len=max_len, total_mass=scale
     )
+    if not probs:
+        raise ValueError("all frequency counts are zero")
+    return table

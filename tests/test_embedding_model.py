@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def test_config_validation():
         TrainConfig(bos_min_len=4, bos_max_len=3)
     with pytest.raises(ValueError):
         SubwordTable({}, prob_eps=1.5)
+
+
+@pytest.mark.parametrize("setting", [
+    {"epochs": 5.0}, {"epochs": True}, {"bos_min_len": 2.0}, {"bos_max_len": "6"},
+    {"seed": None}, {"lr0": True}, {"lr_decay": 1}, {"bos_word_boundary": "false"},
+])
+def test_config_rejects_a_value_of_the_wrong_type(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        TrainConfig(**setting)
 
 
 @pytest.mark.parametrize("lr0", [math.nan, math.inf])
@@ -365,6 +375,16 @@ def test_model_round_trips_through_directory(tmp_path):
         assert (tmp_path / "model" / name).read_bytes() == (
             tmp_path / "again" / name
         ).read_bytes(), name
+
+
+def test_a_config_with_every_field_changed_round_trips(tmp_path):
+    config = TrainConfig(
+        epochs=3, lr0=0.25, lr_decay=False, variant=Variant.PBOS_N,
+        bos_min_len=2, bos_max_len=4, bos_word_boundary=False, seed=11,
+    )
+    assert all(getattr(config, f.name) != f.default for f in fields(TrainConfig))
+    PbosModel(SubwordTable({"a": 1.0}), SubwordEmbeddings(2), config).save(tmp_path)
+    assert PbosModel.load(tmp_path).config == config
 
 
 def test_loss_trace_round_trips_exactly(tmp_path):

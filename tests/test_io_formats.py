@@ -201,6 +201,15 @@ def test_read_subwords_rejects_prob_eps_outside_open_unit_interval(value):
         read_subwords(io.StringIO(text))
 
 
+@pytest.mark.parametrize("value, message", [
+    ("x", "not an integer"), ("2.0", "not an integer"), ("0", "max_len"), ("-3", "max_len"),
+])
+def test_read_subwords_rejects_a_bad_max_len_by_line(value, message):
+    text = f"a\t0.5\n# max_len\t{value}\n"
+    with pytest.raises(FormatError, match=f"line 2: {message}"):
+        read_subwords(io.StringIO(text))
+
+
 def test_read_subwords_accepts_probability_one():
     assert read_subwords(io.StringIO("a\t1.0\n")).probs == {"a": 1.0}
 

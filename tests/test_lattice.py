@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import sys
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pbos.io_formats import read_subwords
 from pbos.lattice import (
     MAX_ENUM_LEN,
     MAX_WORD_LEN,
@@ -19,7 +21,7 @@ from pbos.lattice import (
     subword_weights,
     top_k_segmentations,
 )
-from pbos.subword_stats import SubwordTable
+from pbos.subword_stats import SubwordTable, build_table
 
 UNIT = SubwordTable({"a": 1.0, "b": 1.0, "ab": 1.0})
 
@@ -202,6 +204,67 @@ def test_weights_property_against_oracle(data):
     got = subword_weights(word, table).weights
     expected = oracles.brute_weights(word, table)
     assert got == pytest.approx(expected, abs=1e-10)
+
+
+# --- tables that are not prefix-closed ---------------------------------------
+# The pass stops a start at the first span that begins no key; these tables
+# hold keys whose shorter prefixes are absent, so the stop must look past them.
+
+def assert_matches_oracles(word, table, k):
+    got = subword_weights(word, table).weights
+    expected = exact_weights(word, table)
+    assert set(got) == set(expected)
+    for sub, value in expected.items():
+        assert got[sub] == pytest.approx(float(value), rel=1e-12)
+    # rank by exact rationals; near-ties may order differently in floats,
+    # so the k likelihoods are compared, and each one to its segmentation
+    exact = {
+        seg: math.prod(Fraction(table.lookup(s)) for s in seg)
+        for seg in enumerate_all_segmentations(word)
+    }
+    total = sum(exact.values())
+    best = top_k_segmentations(word, table, k)
+    assert len({seg for seg, _ in best}) == len(best) == min(k, len(exact))
+    for seg, prob in best:
+        assert prob == pytest.approx(float(exact[seg] / total), rel=1e-9, abs=1e-300)
+    ranked = sorted((value / total for value in exact.values()), reverse=True)[:k]
+    assert [prob for _, prob in best] == pytest.approx([float(v) for v in ranked], rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weights_and_top_k_on_tables_that_are_not_prefix_closed(data):
+    word = data.draw(st.text(alphabet="abc", min_size=3, max_size=9))
+    rng = random.Random(data.draw(st.integers(0, 2**31)))
+    spans = {word[i:j] for i in range(len(word)) for j in range(i + 1, len(word) + 1)}
+    probs = {sub: rng.uniform(0.01, 1.0) for sub in sorted(spans) if rng.random() < 0.5}
+    # a key of three or more characters without its prefix one shorter
+    key = rng.choice(sorted(sub for sub in spans if len(sub) >= 3))
+    probs[key] = rng.uniform(0.01, 1.0)
+    probs.pop(key[:-1], None)
+    table = SubwordTable(probs, prob_eps=0.05)
+    assert table.stems is not table.probs
+    assert_matches_oracles(word, table, data.draw(st.integers(1, 6)))
+
+
+def test_stems_of_a_table_that_is_not_prefix_closed():
+    table = SubwordTable({"abcd": 0.5, "x": 0.5, "xy": 0.25})
+    assert table.stems == {"ab", "abc", "abcd", "xy"}
+
+
+@pytest.mark.parametrize("max_len", [None, 3])
+def test_a_counted_table_is_its_own_stems(max_len):
+    table = build_table({"banana": 3, "bandana": 2}, max_len=max_len)
+    assert table.stems is table.probs
+
+
+def test_a_table_read_from_a_file_without_key_prefixes_composes_exactly():
+    text = "# prob_eps\t0.05\nabc\t0.25\nb\t0.5\ncabca\t0.125\n"
+    table = read_subwords(io.StringIO(text))
+    assert table.stems is not table.probs
+    for word in ("abcab", "cabcabc", "xabcx"):
+        assert_matches_oracles(word, table, k=4)
+    assert {"abc", "cabca"} <= set(subword_weights("cabcabc", table).weights)
 
 
 # --- partition and likelihood ----------------------------------------------

@@ -53,6 +53,17 @@ def test_build_rejects_bad_input():
         build_table({"ab": 0})  # all counts zero
 
 
+@pytest.mark.parametrize("max_len", [0, -3, 2.0, True, "3"])
+def test_table_rejects_a_max_len_that_is_not_a_positive_int(max_len):
+    with pytest.raises(ValueError, match="max_len"):
+        SubwordTable({"a": 1.0}, max_len=max_len)
+
+
+def test_build_names_a_max_len_below_one():
+    with pytest.raises(ValueError, match="max_len"):
+        build_table({"ab": 1}, max_len=0)
+
+
 def test_zero_count_words_are_ignored():
     table = build_table({"ab": 1, "xy": 0})
     assert "x" not in table.probs
