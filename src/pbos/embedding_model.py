@@ -22,40 +22,41 @@ model composes the zero vector for every word.
 
 All subword vectors live in one float64 matrix, one row per subword, with
 a subword-to-row index (:class:`SubwordEmbeddings`); training, composition,
-saving and loading share it.  A model directory holds:
+saving and loading share it.  A model directory stores each subword once:
 
-* ``config``       - one ``name<TAB>value`` line per :class:`TrainConfig`
-  field (int, ``repr`` float, ``true``/``false``, variant value);
-* ``subwords.tsv`` - the subword probability table (``write_subwords``);
-* ``vectors.npy``  - the matrix, written by ``np.save`` as float64;
-* ``rows.txt``     - the subword of each matrix row, one per line, in order;
-* ``loss_trace.txt`` - the per-epoch training losses, one ``repr`` float
-  per line.
+* ``config.json``  - the :class:`TrainConfig` fields under ``"train"``, the
+  other :class:`SubwordTable` fields under ``"table"``, and ``"loss_trace"``;
+* ``subwords.txt`` - one subword per line (split at ``\\n`` only): those
+  with a vector, in matrix row order, then those only in the table;
+* ``probs.npy``    - their table probabilities, float64; 0.0 means no
+  table entry, which only a subword with a vector may lack;
+* ``vectors.npy``  - the matrix, written by ``np.save`` as float64.
 
-The matrix and the losses are stored exactly, so a loaded model composes
-bit for bit the vectors the saved one did, and saving it again writes the
-same bytes.  ``load`` memory-maps ``vectors.npy`` read-only instead of
-reading it, checks it (a 2-D float64 matrix with one row per listed
-subword, no subword listed twice, every value finite) and names the file
-in every error it raises.  An unknown or repeated ``config`` name, or a
-value outside its field's encoding, is such an error, so models whose
-``config`` holds the retired ``prob_eps`` or ``auto`` values do not load.
+Floats are stored exactly, so a loaded model composes bit for bit the
+vectors the saved one did, and saving it again writes the same bytes.
+``load`` memory-maps ``vectors.npy`` read-only, checks every file (no more
+matrix rows than subwords, finite values, no subword listed twice,
+probabilities in range), leaves the values in ``config.json`` to the
+checks of :class:`TrainConfig` and :class:`SubwordTable`, and names the
+file in every error it raises.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 
-from . import io_formats, lattice
+from . import lattice
 from .io_formats import FormatError, TargetEmbeddings
 from .subword_stats import SubwordTable
 
@@ -63,11 +64,10 @@ from .subword_stats import SubwordTable
 BOUNDARY_START = "⟨"  # ⟨
 BOUNDARY_END = "⟩"    # ⟩
 
-MODEL_CONFIG_FILE = "config"
-MODEL_SUBWORDS_FILE = "subwords.tsv"
+MODEL_CONFIG_FILE = "config.json"
+MODEL_SUBWORDS_FILE = "subwords.txt"
+MODEL_PROBS_FILE = "probs.npy"
 MODEL_MATRIX_FILE = "vectors.npy"
-MODEL_ROWS_FILE = "rows.txt"
-MODEL_LOSS_FILE = "loss_trace.txt"
 
 
 class Variant(str, Enum):
@@ -123,6 +123,11 @@ class TrainConfig:
         return self.lr0 / math.sqrt(epoch) if self.lr_decay else self.lr0
 
 
+def _duplicate(items: Sequence[str]) -> str:
+    """The first item of ``items`` that occurs in it more than once."""
+    return next(item for item, count in Counter(items).items() if count > 1)
+
+
 class SubwordEmbeddings:
     """Subword vectors as one float64 matrix with a subword-to-row index.
 
@@ -147,8 +152,7 @@ class SubwordEmbeddings:
                 matrix[row] = vectors[subword]
         index = {subword: row for row, subword in enumerate(subwords)}
         if len(index) != len(subwords):
-            duplicate = next(s for s, c in Counter(subwords).items() if c > 1)
-            raise ValueError(f"subword {duplicate!r} is listed twice")
+            raise ValueError(f"subword {_duplicate(subwords)!r} is listed twice")
         if matrix.shape != (len(index), dim):
             raise ValueError(
                 f"matrix has shape {matrix.shape}, expected ({len(index)}, {dim})"
@@ -224,21 +228,19 @@ def _weighted_sum(weights: np.ndarray, gathered: np.ndarray, normalize: bool) ->
 
 
 @contextlib.contextmanager
-def _naming(path: Path) -> Iterator[None]:
-    """Re-raise a ``ValueError`` as a :class:`FormatError` naming ``path``."""
+def _naming(path: Path) -> Iterator[Path]:
+    """Yield ``path``; re-raise the errors of reading it as a :class:`FormatError` naming it."""
     try:
-        yield
-    except ValueError as exc:
+        yield path
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The lines of a UTF-8 file, split at ``\\n`` only, so that a line
-    may hold any other character; the last line must end in ``\\n``."""
-    lines = path.read_bytes().decode("utf-8").split("\n")
-    if lines.pop():
-        raise FormatError("the last line does not end in a newline")
-    return lines
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object that holds no key twice."""
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise ValueError(f"key {_duplicate([key for key, _ in pairs])!r} is repeated")
+    return dict(pairs)
 
 
 @dataclass
@@ -269,20 +271,31 @@ class PbosModel:
     def save(self, directory: str | Path) -> None:
         """Write the model directory laid out in the module docstring.
 
-        A vector's subword containing a newline raises ``ValueError``
-        before any file is written.
+        A subword containing a newline, or a table probability outside
+        (0, 1], raises ``ValueError`` before any file is written.
         """
-        subwords = self.embeddings.index
-        bad = next((subword for subword in subwords if "\n" in subword), None)
-        if bad is not None:
+        index, probs = self.embeddings.index, self.table.probs
+        subwords = [*index, *(subword for subword in probs if subword not in index)]
+        text = "\n".join([*subwords, ""])  # no per-subword copies
+        if text.count("\n") != len(subwords):
+            bad = next(subword for subword in subwords if "\n" in subword)
             raise ValueError(f"subword contains a newline: {bad!r}")
+        values = np.fromiter((probs.get(s, 0.0) for s in subwords), np.float64, len(subwords))
+        # every entry has one position, so all are valid if that many are
+        if np.count_nonzero((values > 0.0) & (values <= 1.0)) != len(probs):
+            raise ValueError("every table probability must be in (0, 1]")
+        document = {
+            "train": {f.name: getattr(self.config, f.name) for f in fields(TrainConfig)},
+            "table": {
+                f.name: getattr(self.table, f.name) for f in fields(SubwordTable) if f.name != "probs"
+            },
+            "loss_trace": [float(value) for value in self.loss_trace],
+        }
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        with open(path / MODEL_CONFIG_FILE, "w", encoding="utf-8") as fh:
-            for setting in fields(TrainConfig):
-                fh.write(f"{setting.name}\t{_encode(getattr(self.config, setting.name))}\n")
-        with open(path / MODEL_SUBWORDS_FILE, "w", encoding="utf-8") as fh:
-            io_formats.write_subwords(self.table, fh)
+        (path / MODEL_CONFIG_FILE).write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+        (path / MODEL_SUBWORDS_FILE).write_bytes(text.encode("utf-8"))
+        np.save(path / MODEL_PROBS_FILE, values, allow_pickle=False)
         # A loaded model maps vectors.npy.  Replacing the file keeps such a
         # mapping valid (it holds the old file); rewriting it in place
         # would truncate the pages under it.
@@ -290,85 +303,65 @@ class PbosModel:
         with open(partial, "wb") as fh:
             np.save(fh, self.embeddings.matrix, allow_pickle=False)
         os.replace(partial, path / MODEL_MATRIX_FILE)
-        (path / MODEL_ROWS_FILE).write_bytes(
-            "".join(subword + "\n" for subword in subwords).encode("utf-8")
-        )
-        (path / MODEL_LOSS_FILE).write_bytes(
-            "".join(f"{float(value)!r}\n" for value in self.loss_trace).encode("utf-8")
-        )
 
     @classmethod
     def load(cls, directory: str | Path) -> "PbosModel":
-        """Read a directory written by :meth:`save`.
-
-        ``vectors.npy`` is memory-mapped read-only rather than copied into
-        memory.  Every error raised names the file it concerns.
-        """
+        """Read a directory written by :meth:`save`, checked as the module
+        docstring says."""
         path = Path(directory)
-        config_path = path / MODEL_CONFIG_FILE
-        with _naming(config_path):
-            config = _config_from_lines(config_path.read_text(encoding="utf-8").splitlines())
-        subwords_path = path / MODEL_SUBWORDS_FILE
-        with _naming(subwords_path), open(subwords_path, encoding="utf-8") as fh:
-            table = io_formats.read_subwords(fh)
-        rows_path = path / MODEL_ROWS_FILE
-        with _naming(rows_path):
-            subwords = _read_lines(rows_path)
-        matrix_path = path / MODEL_MATRIX_FILE
-        with _naming(matrix_path):
+        with _naming(path / MODEL_CONFIG_FILE) as config_path:
+            document = json.loads(config_path.read_bytes(), object_pairs_hook=_unique_keys)
+            config = TrainConfig(**document["train"])
+            loss_trace = document["loss_trace"]
+            if not isinstance(loss_trace, list) or any(type(value) is not float for value in loss_trace):
+                raise ValueError(f"loss_trace must be a list of floats, got {loss_trace!r}")
+        with _naming(path / MODEL_SUBWORDS_FILE) as subwords_path:
+            subwords = subwords_path.read_bytes().decode("utf-8").split("\n")
+            if subwords.pop():
+                raise ValueError("the last line does not end in a newline")
+        with _naming(path / MODEL_MATRIX_FILE) as matrix_path:
             # np.asarray drops the np.memmap subclass, whose per-operation
             # overhead compose would pay, and keeps the mapping alive
             matrix = np.asarray(np.load(matrix_path, mmap_mode="r", allow_pickle=False))
             if matrix.ndim != 2 or matrix.dtype != np.float64 or matrix.shape[1] < 1:
-                raise FormatError(
+                raise ValueError(
                     f"expected a 2-D float64 matrix with at least one column, "
                     f"got shape {matrix.shape} of {matrix.dtype}"
                 )
-            if matrix.shape[0] != len(subwords):
-                raise FormatError(
-                    f"has {matrix.shape[0]} rows but {rows_path} lists {len(subwords)} subwords"
-                )
+            rows = matrix.shape[0]
+            if rows > len(subwords):
+                raise ValueError(f"has {rows} rows but {subwords_path} lists {len(subwords)} subwords")
             finite = np.isfinite(matrix).all(axis=1)
             if not finite.all():
                 row = int(np.argmin(finite))
-                raise FormatError(
-                    f"row {row + 1} ({subwords[row]!r}) has a non-finite component"
+                raise ValueError(f"row {row + 1} ({subwords[row]!r}) has a non-finite component")
+        with _naming(path / MODEL_PROBS_FILE) as probs_path:
+            probs = np.load(probs_path, allow_pickle=False)
+            if probs.dtype != np.float64 or probs.shape != (len(subwords),):
+                raise ValueError(
+                    f"expected {len(subwords)} float64 values, got {probs.shape} of {probs.dtype}"
                 )
-        with _naming(rows_path):
-            embeddings = SubwordEmbeddings(matrix.shape[1], matrix=matrix, subwords=subwords)
-        loss_path = path / MODEL_LOSS_FILE
-        with _naming(loss_path):
-            loss_trace = [float(line) for line in _read_lines(loss_path)]
+            valid = (probs > 0.0) & (probs <= 1.0)
+            valid[:rows] |= probs[:rows] == 0.0
+            if not valid.all():
+                bad = int(np.argmin(valid))
+                raise ValueError(
+                    f"{subwords[bad]!r} has probability {float(probs[bad])!r}; it must be in "
+                    f"(0, 1], or 0.0 (no table entry) for a subword with a vector"
+                )
+        with _naming(subwords_path):
+            embeddings = SubwordEmbeddings(matrix.shape[1], matrix=matrix, subwords=subwords[:rows])
+            # the vector subwords are unique; a table-only one may repeat
+            # neither one of them nor another table-only one
+            positive = probs > 0.0
+            entries = dict(zip(compress(subwords, positive), probs[positive].tolist()))
+            if len(entries) != np.count_nonzero(positive) or any(
+                subword in embeddings.index for subword in islice(subwords, rows, None)
+            ):
+                raise ValueError(f"subword {_duplicate(subwords)!r} is listed twice")
+        with _naming(config_path):
+            table = SubwordTable(entries, **document["table"])
         return cls(table=table, embeddings=embeddings, config=config, loss_trace=loss_trace)
-
-
-_BOOLS = {"true": True, "false": False}
-
-
-def _encode(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value.value if isinstance(value, Variant) else repr(value)
-
-
-def _config_from_lines(lines: list[str]) -> TrainConfig:
-    """Parse the ``name<TAB>value`` lines :meth:`PbosModel.save` writes;
-    blank lines are skipped and an absent field takes its default."""
-    # every field's default has the field's type
-    kinds = {setting.name: type(setting.default) for setting in fields(TrainConfig)}
-    values: dict[str, object] = {}
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        name, sep, text = line.partition("\t")
-        if not sep or name not in kinds or name in values:
-            raise FormatError(f"line {number}: malformed, unknown or repeated setting: {line!r}")
-        kind = kinds[name]
-        try:
-            values[name] = _BOOLS[text] if kind is bool else kind(text)
-        except (KeyError, ValueError):
-            raise FormatError(f"line {number}: bad value for {name}: {text!r}") from None
-    return TrainConfig(**values)
 
 
 def train(

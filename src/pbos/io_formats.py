@@ -6,9 +6,10 @@ separated) written at 9 significant digits.  Reading such a file back
 gives each value to within 5e-9 relative (half a unit in the ninth
 digit), exactly for float32 data, and writing what was read reproduces
 the file byte for byte.  The text layout serves the target embeddings
-``train`` reads and the vectors ``predict`` writes, nothing else: a model
-keeps its subword vectors in a binary float64 file, stored exactly (see
-:mod:`pbos.embedding_model`).
+``train`` reads and the vectors ``predict`` writes; the table text
+``subwords.tsv`` serves ``build-subwords``, ``train``, ``segment`` and
+``eval-affix``.  A model keeps neither: it stores its table and vectors
+in binary, exactly (see :mod:`pbos.embedding_model`).
 Frequency and benchmark readers skip malformed lines and count them.
 Embedding and subword files abort with :class:`FormatError` on a
 structural problem or a value no model can use: a non-finite vector
@@ -194,8 +195,7 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
     takes the :class:`SubwordTable` default.
 
     A probability outside (0, 1] (nan and inf included), or a header
-    value that is malformed or that :class:`SubwordTable` rejects (a
-    ``prob_eps`` outside (0, 1), a ``max_len`` below 1), raises
+    value that is malformed or that :class:`SubwordTable` rejects, raises
     :class:`FormatError` naming the line.
     """
     header: dict[str, float | int | None] = {}

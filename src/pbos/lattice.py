@@ -40,6 +40,7 @@ k-best list per position (Huang & Chiang, "Better k-best parsing", 2005).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -240,17 +241,17 @@ def top_k_segmentations(
     Segmentations are ranked by the key (-log probability summed left to
     right, segment count, segments), so ties are broken by fewer segments,
     then lexicographic segment order.  Position j keeps the k best
-    segmentations of ``word[:j]``.  Extending prefixes by the same segment
-    keeps their order, so the k best of the word are built from the k best
-    prefixes, exactly unless rounding makes two different -log sums equal.
-    Zero-probability segments join a position's candidates only while it
-    has fewer than k of positive probability.  Likelihoods are normalized
-    by the partition value.
+    segmentations of ``word[:j]`` over positive spans.  Extending prefixes
+    by the same segment keeps their order, so the k best of the word are
+    built from the k best prefixes, exactly unless rounding makes two
+    different -log sums equal.  Fewer than k kept at the end are all the
+    positive ones, and zero-probability ones pad the list in key order.
+    Likelihoods are normalized by the partition value.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     starts, forward, _, _ = _scaled_pass(word, table)
-    log, ldexp, inf = math.log, math.ldexp, math.inf
+    log, ldexp = math.log, math.ldexp
     ends: list[list[tuple[int, float, str]]] = [[] for _ in starts]
     for i, spans in enumerate(starts):
         for j, m, e, sub in spans:
@@ -262,20 +263,21 @@ def top_k_segmentations(
         for i, log_prob, sub in ends[j]:
             for neg_log, count, segments in best[i]:
                 candidates.append((neg_log - log_prob, count + 1, segments, sub))
-        if sum(c[0] < inf for c in candidates) < k:
-            nonzero = {span[0] for span in ends[j]}
-            for i in range(j):
-                if i not in nonzero:
-                    sub = word[i:j]
-                    for _, count, segments in best[i]:
-                        candidates.append((inf, count + 1, segments, sub))
         # equal counts mean equal lengths, so (segments, sub) orders like
         # segments + (sub,), which is built only for the k kept
         best.append([
             (neg_log, count, segments + (sub,))
             for neg_log, count, segments, sub in heapq.nsmallest(k, candidates)
         ])
-    return [(segments, _likelihood(segments, table, forward)) for _, _, segments in best[-1]]
+    ranked = [segments for _, _, segments in best[-1]]
+    # for a fixed segment count, segments order like their cut positions
+    n, listed = len(word), set(ranked)
+    every = (
+        tuple(word[i:j] for i, j in itertools.pairwise((0, *cuts, n)))
+        for parts in range(n) for cuts in itertools.combinations(range(1, n), parts)
+    )
+    ranked += itertools.islice((seg for seg in every if seg not in listed), k - len(ranked))
+    return [(segments, _likelihood(segments, table, forward)) for segments in ranked]
 
 
 def enumerate_all_segmentations(word: str) -> list[Segmentation]:

@@ -14,6 +14,7 @@ are in characters, never bytes.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
@@ -36,6 +37,11 @@ def merge_freqs(freqs: WordFreqList) -> dict[str, int]:
     return merged
 
 
+def _is_number(value: object, kinds: tuple[type, ...] = (int, float)) -> bool:
+    """Whether ``value`` is one of ``kinds``; a bool (an int) is not."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SubwordTable:
     """Immutable subword probability lookup.
@@ -45,7 +51,7 @@ class SubwordTable:
     (0, 1), so that every string keeps at least one valid segmentation;
     missing strings of length >= 2 have probability exactly 0.
     ``max_len`` records the longest subword length counted (None when
-    unbounded).
+    unbounded), and ``total_mass`` the count total (finite and >= 0).
 
     ``stems`` is computed from ``probs`` at its first use (the lattice
     reads it) and cached, so ``probs`` must not be mutated after the
@@ -58,13 +64,11 @@ class SubwordTable:
     total_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.prob_eps < 1.0:
-            raise ValueError(f"prob_eps must be in (0, 1), got {self.prob_eps}")
-        if self.max_len is not None and (
-            isinstance(self.max_len, bool)
-            or not isinstance(self.max_len, int)
-            or self.max_len < 1
-        ):
+        if not _is_number(self.prob_eps) or not 0.0 < self.prob_eps < 1.0:
+            raise ValueError(f"prob_eps must be a real number in (0, 1), got {self.prob_eps!r}")
+        if not _is_number(self.total_mass) or not 0.0 <= self.total_mass < math.inf:
+            raise ValueError(f"total_mass must be a finite real number >= 0, got {self.total_mass!r}")
+        if self.max_len is not None and (not _is_number(self.max_len, (int,)) or self.max_len < 1):
             raise ValueError(f"max_len must be None or an int >= 1, got {self.max_len!r}")
 
     @cached_property

@@ -46,7 +46,7 @@ def test_predict_exits_2_on_a_nan_model_vector(tmp_path, capsys):
     )
     model.save(tmp_path / "model")
     matrix_path = tmp_path / "model" / "vectors.npy"
-    rows = (tmp_path / "model" / "rows.txt").read_text(encoding="utf-8").split("\n")
+    rows = (tmp_path / "model" / "subwords.txt").read_text(encoding="utf-8").split("\n")
     matrix = np.load(matrix_path)
     assert np.array_equal(matrix[rows.index("b")], [0.0, 1.0])
     matrix[rows.index("b"), 1] = np.nan
@@ -71,8 +71,8 @@ def test_model_commands_exit_2_when_the_row_count_mismatches(tmp_path, capsys, c
         config=TrainConfig(),
     )
     model.save(tmp_path / "model")
-    with open(tmp_path / "model" / "rows.txt", "a", encoding="utf-8") as fh:
-        fh.write("ab\n")
+    # one row more than subwords.txt has lines
+    np.save(tmp_path / "model" / "vectors.npy", np.zeros((3, 2)))
     inputs = tmp_path / "inputs.txt"
     inputs.write_text("a\tb\t1.0\nab\tb\t2.0\n", encoding="utf-8")
     flag = "--words" if command == "predict" else "--pairs"
@@ -80,7 +80,7 @@ def test_model_commands_exit_2_when_the_row_count_mismatches(tmp_path, capsys, c
     captured = capsys.readouterr()
     assert code == cli.EXIT_DATA
     assert str(tmp_path / "model" / "vectors.npy") in captured.err
-    assert "3 subwords" in captured.err
+    assert "has 3 rows" in captured.err and "2 subwords" in captured.err
     assert captured.out == ""
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -364,6 +365,8 @@ def test_model_round_trips_through_directory(tmp_path):
     assert loaded.config == model.config
     assert loaded.table.probs == model.table.probs
     assert loaded.table.prob_eps == model.table.prob_eps
+    assert loaded.table.max_len == model.table.max_len
+    assert loaded.table.total_mass == model.table.total_mass
     assert loaded.loss_trace == model.loss_trace
     for word in words:
         # the float64 matrix is stored exactly: bitwise equal vectors
@@ -371,10 +374,58 @@ def test_model_round_trips_through_directory(tmp_path):
 
     # re-saving the loaded model writes the same bytes
     loaded.save(tmp_path / "again")
-    for name in ("vectors.npy", "rows.txt", "config", "subwords.tsv", "loss_trace.txt"):
+    names = ["config.json", "probs.npy", "subwords.txt", "vectors.npy"]
+    assert sorted(path.name for path in (tmp_path / "model").iterdir()) == names
+    for name in names:
         assert (tmp_path / "model" / name).read_bytes() == (
             tmp_path / "again" / name
         ).read_bytes(), name
+
+
+def _assert_round_trip(model, directory):
+    model.save(directory)
+    loaded = PbosModel.load(directory)
+    assert loaded.config == model.config
+    assert loaded.table == model.table
+    assert list(loaded.embeddings.index) == list(model.embeddings.index)
+    assert loaded.embeddings.matrix.tobytes() == model.embeddings.matrix.tobytes()
+    assert loaded.loss_trace == model.loss_trace
+    return loaded
+
+
+def test_table_only_and_vector_only_subwords_round_trip(tmp_path):
+    # "c" has a vector but no table entry; "ab" and "ba" have only an entry
+    table = SubwordTable({"a": 0.5, "b": 0.25, "ab": 0.125, "ba": 1.0}, max_len=2, total_mass=8.0)
+    vectors = {"c": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
+    _assert_round_trip(make_model(table, vectors=vectors), tmp_path / "model")
+    lines = (tmp_path / "model" / "subwords.txt").read_text(encoding="utf-8").split("\n")
+    assert lines == ["c", "b", "a", "ab", "ba", ""]
+    probs = np.load(tmp_path / "model" / "probs.npy")
+    assert probs.tolist() == [0.0, 0.25, 0.5, 0.125, 1.0]
+
+
+def test_bos_model_round_trips(tmp_path):
+    rng = np.random.default_rng(3)
+    targets = TargetEmbeddings(dim=3, entries={w: rng.standard_normal(3) for w in ["abc", "bcd"]})
+    config = TrainConfig(epochs=2, variant=Variant.BOS, bos_min_len=2, bos_max_len=3)
+    model = train(targets, build_table({"abc": 2, "bcd": 1}), config)
+    loaded = _assert_round_trip(model, tmp_path / "model")
+    assert any(BOUNDARY_START in subword for subword in loaded.embeddings.index)
+    assert loaded.compose("abd").tobytes() == model.compose("abd").tobytes()
+
+
+def test_a_model_with_an_empty_table_round_trips(tmp_path):
+    model = make_model(SubwordTable({}, prob_eps=0.5), vectors={"a": np.ones(2)})
+    loaded = _assert_round_trip(model, tmp_path / "model")
+    assert np.array_equal(loaded.compose("aa"), np.ones(2))
+    _assert_round_trip(make_model(SubwordTable({})), tmp_path / "empty")
+
+
+def test_a_model_directory_without_config_json_names_it(tmp_path):
+    make_model(SubwordTable({"a": 1.0})).save(tmp_path)
+    (tmp_path / "config.json").rename(tmp_path / "config")
+    with pytest.raises(OSError, match="config.json"):
+        PbosModel.load(tmp_path)
 
 
 def test_a_config_with_every_field_changed_round_trips(tmp_path):
@@ -412,6 +463,25 @@ def test_save_rejects_a_subword_with_a_newline(tmp_path):
     with pytest.raises(ValueError, match="newline"):
         model.save(tmp_path / "model")
     assert not (tmp_path / "model").exists()
+    # a table key is checked too, before any file is written
+    model = make_model(SubwordTable({"a": 1.0, "b\nc": 0.5}), vectors={"a": np.ones(2)})
+    with pytest.raises(ValueError, match="newline"):
+        model.save(tmp_path / "model")
+    assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("prob", [0.0, -0.5, 1.5, math.nan])
+def test_save_rejects_a_table_probability_outside_the_unit_interval(tmp_path, prob):
+    # a vector's subword with probability 0.0 would read back as no entry
+    model = make_model(SubwordTable({"a": 1.0, "b": prob}), vectors={"b": np.ones(2)})
+    with pytest.raises(ValueError, match="probability"):
+        model.save(tmp_path / "model")
+    assert not (tmp_path / "model").exists()
+
+
+def test_subwords_with_tabs_and_header_names_in_the_table_round_trip(tmp_path):
+    table = SubwordTable({"a\tb": 0.5, "# prob_eps": 0.25})
+    _assert_round_trip(make_model(table, vectors={"a\tb": np.ones(2)}), tmp_path)
 
 
 def test_loaded_matrix_is_memory_mapped_read_only(tmp_path):
@@ -447,30 +517,60 @@ def _write(name, text):
     return lambda d: (d / name).write_text(text, encoding="utf-8")
 
 
+def _rewrite_config(d, edit):
+    document = json.loads((d / "config.json").read_text(encoding="utf-8"))
+    edit(document)
+    (d / "config.json").write_text(json.dumps(document), encoding="utf-8")
+
+
+def _edit_config(edit):
+    return lambda d: _rewrite_config(d, edit)
+
+
+def _edit_probs(edit):
+    return lambda d: np.save(d / "probs.npy", edit(np.load(d / "probs.npy")))
+
+
+# The damaged model lists "a" and "b" with vectors and "ab" in the table only.
 @pytest.mark.parametrize("damage, name", [
     (lambda d: (d / "vectors.npy").unlink(), "vectors.npy"),
-    (lambda d: (d / "loss_trace.txt").unlink(), "loss_trace.txt"),
-    (_write("config", "epochs 3\n"), "config"),
-    (_write("config", "epochs\tmany\n"), "config"),
-    (_write("config", "variant\tcbow\n"), "config"),
-    (_write("config", "epoch\t5\n"), "config"),
-    (_write("config", "lr_decay\tTrue\n"), "config"),
-    (_write("config", "bos_word_boundary\tauto\n"), "config"),
-    (_write("config", "prob_eps\t0.01\n"), "config"),
-    (_write("subwords.tsv", "a\t2.0\n"), "subwords.tsv"),
-    (_write("subwords.tsv", "a 0.5\n"), "subwords.tsv"),
     (lambda d: np.save(d / "vectors.npy", np.zeros((2, 2), dtype=np.float32)), "vectors.npy"),
     (lambda d: np.save(d / "vectors.npy", np.zeros(4)), "vectors.npy"),
-    (lambda d: np.save(d / "vectors.npy", np.zeros((3, 2))), "vectors.npy"),
+    # more rows than subwords.txt has lines
+    (lambda d: np.save(d / "vectors.npy", np.zeros((4, 2))), "vectors.npy"),
     (lambda d: np.save(d / "vectors.npy", np.array([[1.0, 2.0], [np.inf, 0.0]])), "vectors.npy"),
     (lambda d: (d / "vectors.npy").write_bytes(b"not an array"), "vectors.npy"),
-    (_write("rows.txt", "a\na\n"), "rows.txt"),
-    (_write("rows.txt", "a\nb"), "rows.txt"),
-    (_write("loss_trace.txt", "0.5\nlow\n"), "loss_trace.txt"),
+    (_write("config.json", '{"train": {"epochs" 3}, "table": {}, "loss_trace": []}\n'), "config.json"),
+    (_edit_config(lambda c: c["train"].update(epochs="many")), "config.json"),
+    (_edit_config(lambda c: c["train"].update(variant="cbow")), "config.json"),
+    (_edit_config(lambda c: c["train"].update(epoch=5)), "config.json"),
+    (_edit_config(lambda c: c["train"].update(lr_decay="True")), "config.json"),
+    (_edit_config(lambda c: c["train"].update(bos_word_boundary="auto")), "config.json"),
+    (_edit_config(lambda c: c["train"].update(prob_eps=0.01)), "config.json"),
+    (_write("config.json", '{"train": {"epochs": 1, "epochs": 2}, "table": {}, "loss_trace": []}\n'),
+     "config.json"),
+    (_edit_config(lambda c: c["table"].update(max_len=0)), "config.json"),
+    (_edit_config(lambda c: c["table"].update(prob_eps="x")), "config.json"),
+    (_edit_config(lambda c: c["table"].update(total_mass=math.nan)), "config.json"),
+    (_edit_config(lambda c: c["table"].update(probs={})), "config.json"),
+    (_edit_config(lambda c: c.update(loss_trace=[0.5, "low"])), "config.json"),
+    (_edit_config(lambda c: c.pop("loss_trace")), "config.json"),
+    (_write("config.json", "[]\n"), "config.json"),
+    (_write("subwords.txt", "a\nb\na\n"), "subwords.txt"),
+    (_write("subwords.txt", "a\nb\nab"), "subwords.txt"),
+    (_write("subwords.txt", "a\na\nab\n"), "subwords.txt"),
+    (_write("subwords.txt", "ab\nb\nab\n"), "subwords.txt"),
+    (_edit_probs(lambda p: np.array([0.5, 2.0, 0.25])), "probs.npy"),
+    (_edit_probs(lambda p: np.array([-0.5, 0.5, 0.25])), "probs.npy"),
+    (_edit_probs(lambda p: np.array([0.5, np.nan, 0.25])), "probs.npy"),
+    (_edit_probs(lambda p: p.astype(np.float32)), "probs.npy"),
+    (_edit_probs(lambda p: p[:2]), "probs.npy"),
+    (_edit_probs(lambda p: np.array([0.5, 0.5, 0.0])), "probs.npy"),
+    (lambda d: (d / "probs.npy").unlink(), "probs.npy"),
 ])
 def test_load_errors_name_the_file(tmp_path, damage, name):
     vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-    make_model(SubwordTable({"a": 0.5, "b": 0.5}), vectors=vectors).save(tmp_path)
+    make_model(SubwordTable({"a": 0.5, "b": 0.5, "ab": 0.25}), vectors=vectors).save(tmp_path)
     damage(tmp_path)
     with pytest.raises((ValueError, OSError)) as caught:
         PbosModel.load(tmp_path)

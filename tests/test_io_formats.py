@@ -210,6 +210,13 @@ def test_read_subwords_rejects_a_bad_max_len_by_line(value, message):
         read_subwords(io.StringIO(text))
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_read_subwords_rejects_a_bad_total_mass_by_line(value):
+    text = f"a\t0.5\n# total_mass\t{value}\n"
+    with pytest.raises(FormatError, match="line 2: total_mass"):
+        read_subwords(io.StringIO(text))
+
+
 def test_read_subwords_accepts_probability_one():
     assert read_subwords(io.StringIO("a\t1.0\n")).probs == {"a": 1.0}
 

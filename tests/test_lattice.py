@@ -334,6 +334,16 @@ def test_top_k_includes_zero_probability_paths_when_needed():
     assert result[1][1] == 0.0
 
 
+def test_top_k_pads_a_long_word_with_the_fewest_segment_zero_probability_paths():
+    word = "z" * 1000
+    result = top_k_segmentations(word, SubwordTable({}, prob_eps=0.01), 5)
+    assert [seg for seg, _ in result] == [
+        ("z",) * 1000, (word,), ("z", "z" * 999), ("zz", "z" * 998), ("zzz", "z" * 997),
+    ]
+    assert result[0][1] == pytest.approx(1.0)
+    assert [prob for _, prob in result[1:]] == [0.0] * 4
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.integers(0, 2**31))
 def test_top_k_on_a_long_word_is_ranked_and_starts_with_the_viterbi_path(seed):

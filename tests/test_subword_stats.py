@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +132,13 @@ def test_table_is_usable_with_synthetic_probabilities():
     assert table.lookup("c") == 0.25
     assert "a" in table and "c" not in table
     assert len(table) == 2
+
+
+@pytest.mark.parametrize("fields", [
+    {"prob_eps": "x"}, {"prob_eps": True}, {"prob_eps": None},
+    {"total_mass": math.nan}, {"total_mass": -1.0}, {"total_mass": math.inf},
+    {"total_mass": "3"}, {"total_mass": False},
+])
+def test_table_rejects_a_bad_scalar_field_with_value_error(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        SubwordTable({"a": 1.0}, **fields)
