@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the subword store: model save, model load and
-per-word compose, on a seeded synthetic model.
+"""Micro-benchmarks of the subword store: model save, model load, and
+compose per word and in batch, on a seeded synthetic model.
 
 The model has a subword table built from 3,000 random words over a
 10-letter alphabet (tens of thousands of subwords), a random float64
@@ -11,7 +11,9 @@ the repository root with::
 
     python -m pytest benchmarks/ --benchmark-only
 
-``test_compose`` times the whole batch; divide by 200 for one word.
+``test_compose`` composes the query batch word by word and
+``test_compose_many`` as one ``W @ matrix``; divide either by 200 for
+one word.
 """
 
 import numpy as np
@@ -58,7 +60,16 @@ def test_load(benchmark, saved):
     assert len(loaded.table) > len(loaded.embeddings.index)
 
 
-def test_compose(benchmark, model):
-    queries = _words(np.random.default_rng(SEED + 1), QUERIES, 3, 25)
+@pytest.fixture(scope="module")
+def queries():
+    return _words(np.random.default_rng(SEED + 1), QUERIES, 3, 25)
+
+
+def test_compose(benchmark, model, queries):
     vectors = benchmark(lambda: [model.compose(w) for w in queries])
     assert len(vectors) == QUERIES
+
+
+def test_compose_many(benchmark, model, queries):
+    vectors = benchmark(model.compose_many, queries)
+    assert vectors.shape == (QUERIES, DIM)

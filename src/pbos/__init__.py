@@ -16,6 +16,7 @@ from .embedding_model import (
     gradient_check,
     loss,
     train,
+    weight_matrix,
 )
 from .evaluation import (
     Affix,
@@ -98,6 +99,7 @@ __all__ = [
     "subword_weights",
     "top_k_segmentations",
     "train",
+    "weight_matrix",
     "word_similarity",
     "write_embeddings",
     "write_subwords",

@@ -13,6 +13,8 @@ stderr; data goes to stdout or the requested output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -143,8 +145,15 @@ def _cmd_build_subwords(args) -> int:
     if args.lowercase:
         entries = [(word.lower(), count) for word, count in entries]
     table = build_table(entries, max_len=args.max_len, prob_eps=args.prob_eps)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        io_formats.write_subwords(table, fh)
+    # --out is replaced whole or left as it was
+    partial = args.out + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            io_formats.write_subwords(table, fh)
+        os.replace(partial, args.out)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
     _info(f"wrote {len(table)} subwords to {args.out}")
     return EXIT_OK
 
@@ -182,13 +191,13 @@ def _cmd_predict(args) -> int:
     words = list(dict.fromkeys(w.strip() for w in lines if w.strip()))
     if not words:
         raise ValueError("empty query word list")
-    composed = {word: model.compose(word) for word in words}
+    composed = zip(words, model.compose_many(words))
     if args.out is None:
         io_formats.write_embeddings(composed, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             io_formats.write_embeddings(composed, fh)
-    _info(f"composed {len(composed)} vectors")
+    _info(f"composed {len(words)} vectors")
     return EXIT_OK
 
 

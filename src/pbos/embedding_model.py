@@ -22,7 +22,21 @@ model composes the zero vector for every word.
 
 All subword vectors live in one float64 matrix, one row per subword, with
 a subword-to-row index (:class:`SubwordEmbeddings`); training, composition,
-saving and loading share it.  A model directory stores each subword once:
+saving and loading share it.
+
+A word list composes through one sparse word x subword weight matrix ``W``
+(:func:`weight_matrix`, CSR): row i holds word i's composition weights
+over the columns of a subword-to-column index, so the composed words are
+``W @ matrix``.  ``train`` builds ``W`` over the targets, numbering the
+subwords in first-seen order, and walks its rows; ``gradient_check`` reads
+its weights from the same rows.  A model composes words in two ways:
+
+* :meth:`PbosModel.compose_many` - a batch, as ``W @ matrix`` over the
+  model's rows (``predict``, ``eval-ws`` and :func:`loss`);
+* :meth:`PbosModel.compose` - one word, from the same word -> (rows,
+  weights) step, without building ``W`` (a long-lived caller).
+
+A model directory stores each subword once:
 
 * ``config.json``  - the :class:`TrainConfig` fields under ``"train"``, the
   other :class:`SubwordTable` fields under ``"table"``, and ``"loss_trace"``;
@@ -47,14 +61,16 @@ import contextlib
 import json
 import math
 import os
+from array import array
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import lattice
 from .io_formats import FormatError, TargetEmbeddings
@@ -218,6 +234,59 @@ def composition_weights(
     return list(lattice.subword_weights(word, table).weights.items())
 
 
+def _rows_and_weights(
+    word: str, table: SubwordTable, config: TrainConfig, columns: dict[str, int], extend: bool
+) -> tuple[list[int], list[float]]:
+    """The columns of ``word``'s subwords in ``columns`` and their weights.
+    A subword not in ``columns`` is appended to it with ``extend`` and
+    dropped otherwise (it has no vector, so it composes as zero)."""
+    pairs = composition_weights(word, table, config)
+    if extend:
+        return [columns.setdefault(sub, len(columns)) for sub, _ in pairs], [w for _, w in pairs]
+    get = columns.get
+    rows: list[int] = []
+    weights: list[float] = []
+    for subword, weight in pairs:
+        row = get(subword)
+        if row is not None:
+            rows.append(row)
+            weights.append(weight)
+    return rows, weights
+
+
+def weight_matrix(
+    words: Iterable[str],
+    table: SubwordTable,
+    config: TrainConfig,
+    columns: dict[str, int],
+    *,
+    extend: bool = False,
+) -> sparse.csr_array:
+    """The CSR word x subword weight matrix ``W`` of ``words``.
+
+    Row i holds the composition weights of the i-th word, in the order
+    :func:`composition_weights` gives them, at the columns ``columns``
+    assigns their subwords.  With ``extend`` a new subword is appended to
+    ``columns``, so columns number subwords in first-seen order; otherwise
+    subwords not in ``columns`` are dropped.  ``W`` has ``len(columns)``
+    columns.
+    """
+    indptr, indices, data = array("q", [0]), array("q"), array("d")
+    for word in words:
+        rows, weights = _rows_and_weights(word, table, config, columns, extend)
+        indices.extend(rows)
+        data.extend(weights)
+        indptr.append(len(indices))
+    return sparse.csr_array(
+        (
+            np.frombuffer(data, dtype=np.float64),
+            np.frombuffer(indices, dtype=np.int64),
+            np.frombuffer(indptr, dtype=np.int64),
+        ),
+        shape=(len(indptr) - 1, len(columns)),
+    )
+
+
 def _weighted_sum(weights: np.ndarray, gathered: np.ndarray, normalize: bool) -> np.ndarray:
     """``weights @ gathered``; with ``normalize`` each row is first scaled
     to unit length (zero rows stay zero)."""
@@ -232,7 +301,9 @@ def _naming(path: Path) -> Iterator[Path]:
     """Yield ``path``; re-raise the errors of reading it as a :class:`FormatError` naming it."""
     try:
         yield path
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -254,19 +325,25 @@ class PbosModel:
 
     def compose(self, word: str) -> np.ndarray:
         """Compose the vector for any word from its subword vectors."""
-        index = self.embeddings.index
-        rows: list[int] = []
-        weights: list[float] = []
-        for subword, weight in composition_weights(word, self.table, self.config):
-            row = index.get(subword)
-            if row is not None:
-                rows.append(row)
-                weights.append(weight)
+        rows, weights = _rows_and_weights(
+            word, self.table, self.config, self.embeddings.index, extend=False
+        )
         return _weighted_sum(
             np.array(weights, dtype=np.float64),
             self.embeddings.matrix[rows],
             normalize=self.config.variant is Variant.PBOS_N,
         )
+
+    def compose_many(self, words: Iterable[str]) -> np.ndarray:
+        """Compose a batch as ``W @ matrix``: row i is ``compose`` of the
+        i-th word, up to rounding.  For pbos-n each weight is divided by
+        its row's norm (zero rows stay zero), as ``compose`` does."""
+        matrix = self.embeddings.matrix
+        weights = weight_matrix(words, self.table, self.config, self.embeddings.index)
+        if self.config.variant is Variant.PBOS_N:
+            norms = np.linalg.norm(matrix, axis=1)
+            weights.data /= np.where(norms > 0.0, norms, 1.0)[weights.indices]
+        return weights @ matrix
 
     def save(self, directory: str | Path) -> None:
         """Write the model directory laid out in the module docstring.
@@ -383,31 +460,28 @@ def train(
     the mean of squared residuals as visited; a non-finite epoch loss
     raises ``ValueError`` naming the epoch.
 
-    Composition weights depend only on the frozen table, so they are
-    computed once up front, with each word's step scale, and cached for
-    all epochs.
+    Composition weights depend only on the frozen table, so the weight
+    matrix ``W`` of the targets is built once up front; its columns, in
+    first-seen order, are the rows of the trained matrix, and each visit
+    reads one row of ``W``.
     """
     if not targets.entries:
         raise ValueError("empty target vocabulary")
     dim = targets.dim
-
-    subword_rows: dict[str, int] = {}
-    cached: list[tuple[np.ndarray, np.ndarray, float, np.ndarray]] = []
-    for word, target in targets.entries.items():
-        target = np.asarray(target, dtype=np.float64)
+    goals = [np.asarray(target, dtype=np.float64) for target in targets.entries.values()]
+    for word, target in zip(targets.entries, goals):
         if target.shape != (dim,):
             raise ValueError(
                 f"target vector for {word!r} has shape {target.shape}, expected ({dim},)"
             )
-        pairs = composition_weights(word, table, config)
-        rows = np.empty(len(pairs), dtype=np.intp)
-        weights = np.empty(len(pairs), dtype=np.float64)
-        for pos, (subword, weight) in enumerate(pairs):
-            row = subword_rows.setdefault(subword, len(subword_rows))
-            rows[pos] = row
-            weights[pos] = weight
-        step_scale = 1.0 / max(1.0, float(weights @ weights))
-        cached.append((rows, weights, step_scale, target))
+
+    subword_rows: dict[str, int] = {}
+    w_matrix = weight_matrix(targets.entries, table, config, subword_rows, extend=True)
+    bounds = w_matrix.indptr.tolist()
+    indices, data = w_matrix.indices, w_matrix.data
+    step_scales = [
+        1.0 / max(1.0, float(data[lo:hi] @ data[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
+    ]
 
     matrix = np.zeros((len(subword_rows), dim))
     rng = np.random.default_rng(config.seed)
@@ -415,15 +489,16 @@ def train(
     trace: list[float] = []
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate(epoch)
-        order = rng.permutation(len(cached))
+        order = rng.permutation(len(goals))
         squared_sum = 0.0
         for index in order:
-            rows, weights, step_scale, target = cached[index]
+            lo, hi = bounds[index], bounds[index + 1]
+            rows, weights = indices[lo:hi], data[lo:hi]
             gathered = matrix[rows]
-            residual = _weighted_sum(weights, gathered, normalize) - target
+            residual = _weighted_sum(weights, gathered, normalize) - goals[index]
             squared_sum += float(residual @ residual)
-            matrix[rows] = gathered - np.outer(lr * step_scale * weights, residual)
-        trace.append(squared_sum / len(cached))
+            matrix[rows] = gathered - np.outer(lr * step_scales[index] * weights, residual)
+        trace.append(squared_sum / len(goals))
         if not math.isfinite(trace[-1]):
             raise ValueError(f"training loss is not finite in epoch {epoch}: {trace[-1]}")
         if on_epoch is not None:
@@ -441,11 +516,9 @@ def loss(model: PbosModel, targets: TargetEmbeddings) -> float:
         raise ValueError(
             f"dimension mismatch: targets {targets.dim}, model {model.embeddings.dim}"
         )
-    total = 0.0
-    for word, target in targets.entries.items():
-        diff = model.compose(word) - np.asarray(target, dtype=np.float64)
-        total += float(diff @ diff)
-    return total / len(targets.entries)
+    goal = np.array(list(targets.entries.values()), dtype=np.float64)
+    diff = model.compose_many(targets.entries) - goal
+    return float(np.einsum("ij,ij->", diff, diff)) / len(targets.entries)
 
 
 def gradient_check(
@@ -470,54 +543,41 @@ def gradient_check(
             "update deliberately does not differentiate through the norm"
         )
     rng = np.random.default_rng(seed)
-    dim = model.embeddings.dim
-    weighted = {
-        word: [
-            (sub, weight)
-            for sub, weight in composition_weights(word, model.table, model.config)
-            if weight >= 1e-3
-        ]
-        for word in targets.entries
-    }
-    # perturb a private copy of the matrix, widened with zero rows for the
-    # weighted subwords that have no vector yet
     stored = model.embeddings
-    fresh = dict.fromkeys(
-        sub for pairs in weighted.values() for sub, _ in pairs if sub not in stored.index
-    )
-    matrix = np.concatenate([stored.matrix, np.zeros((len(fresh), dim))])
-    probe = PbosModel(
-        table=model.table,
-        embeddings=SubwordEmbeddings(dim, matrix=matrix, subwords=[*stored.index, *fresh]),
-        config=model.config,
-    )
-    index = probe.embeddings.index
+    # perturb a private copy of the matrix, widened with zero rows for the
+    # subwords of W that have no vector yet
+    columns = dict(stored.index)
+    w_matrix = weight_matrix(targets.entries, model.table, model.config, columns, extend=True)
+    matrix = np.concatenate([stored.matrix, np.zeros((len(columns) - len(stored.index), stored.dim))])
+    bounds = w_matrix.indptr.tolist()
     worst = 0.0
-    for word, target in targets.entries.items():
+    for word_row, target in enumerate(targets.entries.values()):
         target = np.asarray(target, dtype=np.float64)
-        pairs = weighted[word]
-        if not pairs:
-            continue
-        residual = probe.compose(word) - target
+        lo, hi = bounds[word_row], bounds[word_row + 1]
+        rows, weights = w_matrix.indices[lo:hi], w_matrix.data[lo:hi]
+
+        def squared_error() -> float:
+            diff = weights @ matrix[rows] - target
+            return float(diff @ diff)
+
+        residual = weights @ matrix[rows] - target
         coords = [
-            (sub, weight, col)
-            for sub, weight in pairs
-            for col in range(dim)
+            (row, weight, col)
+            for row, weight in zip(rows.tolist(), weights.tolist())
+            if weight >= 1e-3
+            for col in range(stored.dim)
             if abs(2.0 * weight * residual[col]) >= 1e-4
         ]
         if len(coords) > max_coords_per_word:
             picked = rng.choice(len(coords), size=max_coords_per_word, replace=False)
             coords = [coords[i] for i in picked]
-        for subword, weight, col in coords:
+        for row, weight, col in coords:
             analytic = 2.0 * weight * residual[col]
-            row = index[subword]
             original = matrix[row, col]
             matrix[row, col] = original + h
-            diff = probe.compose(word) - target
-            f_plus = float(diff @ diff)
+            f_plus = squared_error()
             matrix[row, col] = original - h
-            diff = probe.compose(word) - target
-            f_minus = float(diff @ diff)
+            f_minus = squared_error()
             matrix[row, col] = original
             numeric = (f_plus - f_minus) / (2.0 * h)
             error = abs(analytic - numeric) / max(1e-8, abs(numeric))

@@ -83,11 +83,14 @@ def word_similarity(
     """
     if not pairs:
         raise ValueError("no similarity pairs")
+    # each distinct word is composed once, in one batch
+    words = list(dict.fromkeys(word.lower() for pair in pairs for word in (pair.word1, pair.word2)))
+    vectors = dict(zip(words, model.compose_many(words)))
     model_scores = []
     human_scores = []
     for pair in pairs:
-        vec1 = model.compose(pair.word1.lower())
-        vec2 = model.compose(pair.word2.lower())
+        vec1 = vectors[pair.word1.lower()]
+        vec2 = vectors[pair.word2.lower()]
         norm1 = float(np.linalg.norm(vec1))
         norm2 = float(np.linalg.norm(vec2))
         if norm1 < norm_floor or norm2 < norm_floor:

@@ -125,11 +125,10 @@ def write_embeddings(
     if not records:
         raise ValueError("refusing to write an empty embedding file")
     stream.write(f"{len(records)} {dim}\n")
+    # one % per row formats each value as format(value, ".9g") does
+    template = "%s" + " %.9g" * dim + "\n"
     for token, arr in records:
-        stream.write(token)
-        for value in arr:
-            stream.write(" " + format(value, ".9g"))
-        stream.write("\n")
+        stream.write(template % (token, *arr.tolist()))
 
 
 def read_freqs(stream: IO[str]) -> tuple[list[tuple[str, int]], int]:
@@ -177,17 +176,21 @@ def write_subwords(table: SubwordTable, stream: IO[str]) -> None:
     holding the table's other fields, so a table round-trips exactly.
 
     A subword that holds a tab or newline, or that would read back as a
-    header line, raises ``ValueError``.
+    header line, raises ``ValueError`` before anything is written.
     """
+    subwords = sorted(table.probs)
+    for subword in subwords:
+        if "\t" in subword or "\n" in subword:
+            raise ValueError(f"subword contains a tab or newline: {subword!r}")
+    header = sorted(_HEADER_SUBWORDS.intersection(table.probs))
+    if header:
+        raise ValueError(f"subword would read back as a header line: {header[0]!r}")
     stream.write(f"# prob_eps\t{table.prob_eps!r}\n")
     stream.write(f"# max_len\t{'none' if table.max_len is None else table.max_len}\n")
     stream.write(f"# total_mass\t{table.total_mass!r}\n")
-    for subword in sorted(table.probs):
-        if "\t" in subword or "\n" in subword:
-            raise ValueError(f"subword contains a tab or newline: {subword!r}")
-        if subword in _HEADER_SUBWORDS:
-            raise ValueError(f"subword would read back as a header line: {subword!r}")
-        stream.write(f"{subword}\t{table.probs[subword]!r}\n")
+    probs = table.probs
+    for subword in subwords:
+        stream.write(f"{subword}\t{probs[subword]!r}\n")
 
 
 def read_subwords(stream: IO[str]) -> SubwordTable:

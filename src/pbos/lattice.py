@@ -53,6 +53,7 @@ Segmentation = tuple[str, ...]
 
 MAX_WORD_LEN = 1000  # the DP is cheap but unbounded input is abuse
 MAX_ENUM_LEN = 20    # exhaustive enumeration is O(2^n)
+MAX_TOP_K = 100      # top-k keeps k prefixes per position, O(k * n^2) memory
 
 # A nonzero span starting at i: (j, mantissa, exponent, word[i:j]), where
 # mantissa * 2**exponent is the probability of word[i:j].
@@ -248,8 +249,8 @@ def top_k_segmentations(
     positive ones, and zero-probability ones pad the list in key order.
     Likelihoods are normalized by the partition value.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= MAX_TOP_K:
+        raise ValueError(f"k must be in 1..{MAX_TOP_K}, got {k}")
     starts, forward, _, _ = _scaled_pass(word, table)
     log, ldexp = math.log, math.ldexp
     ends: list[list[tuple[int, float, str]]] = [[] for _ in starts]

@@ -6,6 +6,7 @@ import pytest
 
 from pbos import cli
 from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig, Variant
+from pbos.lattice import MAX_TOP_K
 from pbos.subword_stats import SubwordTable
 
 
@@ -173,3 +174,30 @@ def test_every_subcommand_help_exits_0(capsys):
     for command in ["--help", *(f"{name} --help" for name in subparsers.choices)]:
         assert cli.main(command.split()) == cli.EXIT_OK
         assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("earlier", [None, "# prob_eps\t0.25\nab\t0.5\n"])
+def test_build_subwords_leaves_no_partial_table(tmp_path, capsys, earlier):
+    freqs = tmp_path / "freqs.csv"
+    freqs.write_text("# prob_eps,5\nabc,3\n", encoding="utf-8")
+    out = tmp_path / "subwords.tsv"
+    if earlier is not None:
+        out.write_text(earlier, encoding="utf-8")
+    code = cli.main(["build-subwords", "--freqs", str(freqs), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert "'# prob_eps'" in capsys.readouterr().err
+    if earlier is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == earlier
+    assert [path.name for path in tmp_path.iterdir() if path != out] == ["freqs.csv"]
+
+
+def test_segment_exits_2_on_a_k_above_the_bound(tmp_path, capsys):
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t0.5\nb\t0.5\n", encoding="utf-8")
+    code = cli.main(["segment", "--subwords", str(subwords), "--k", str(MAX_TOP_K + 1), "ab"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert str(MAX_TOP_K) in captured.err
+    assert captured.out == ""

@@ -18,6 +18,7 @@ from pbos.embedding_model import (
     gradient_check,
     loss,
     train,
+    weight_matrix,
 )
 from pbos.io_formats import TargetEmbeddings
 from pbos.subword_stats import SubwordTable, build_table
@@ -191,6 +192,75 @@ def test_pbos_compose_norm_bounded_by_largest_subword_norm():
         for s, _ in composition_weights(word, table, model.config)
     )
     assert composed_norm <= largest + 1e-12
+
+
+# --- the weight matrix and batch compose ---------------------------------------
+
+BATCH_WORDS = ["abcab", "cabbage", "bad", "ab", "zzq", "dcba"]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_compose_many_matches_compose_word_by_word(variant):
+    rng = np.random.default_rng(11)
+    table = build_table({"abc": 4, "cab": 2, "bad": 3, "cabbage": 1})
+    config = TrainConfig(variant=variant)
+    subwords = sorted({sub for word in BATCH_WORDS for sub, _ in composition_weights(word, table, config)})
+    # every third subword has no vector; under pbos-n some rows are zero
+    kept = [sub for sub in subwords if not set(sub) & set("zq")][::3][1:] + subwords[:1]
+    vectors = {sub: rng.standard_normal(4) * 10.0 ** rng.integers(-3, 4) for sub in kept}
+    vectors[kept[0]] = np.zeros(4)
+    model = make_model(table, dim=4, variant=variant, vectors=vectors)
+    batch = model.compose_many(BATCH_WORDS)
+    assert batch.shape == (len(BATCH_WORDS), 4)
+    for word, row in zip(BATCH_WORDS, batch):
+        single = model.compose(word)
+        assert np.max(np.abs(row - single)) <= 1e-13 * np.max(np.abs(single))
+    # "zzq" has no subword with a vector
+    assert not batch[BATCH_WORDS.index("zzq")].any()
+    assert not model.compose("zzq").any()
+
+
+def test_compose_many_of_no_words_is_empty():
+    model = make_model(UNIT, dim=3, vectors={"a": np.ones(3)})
+    assert model.compose_many([]).shape == (0, 3)
+
+
+def test_weight_matrix_rows_hold_the_composition_weights_in_first_seen_columns():
+    table = build_table({"abc": 2, "cab": 1})
+    config = TrainConfig()
+    columns: dict[str, int] = {}
+    weights = weight_matrix(["abc", "cab"], table, config, columns, extend=True)
+    assert weights.shape == (2, len(columns))
+    for row, word in enumerate(["abc", "cab"]):
+        lo, hi = weights.indptr[row], weights.indptr[row + 1]
+        names = [list(columns)[col] for col in weights.indices[lo:hi]]
+        assert list(zip(names, weights.data[lo:hi].tolist())) == composition_weights(word, table, config)
+    # without extend, subwords not in the columns are dropped
+    known = {"c": 0, "ab": 1}
+    dropped = weight_matrix(["abc"], table, config, known).toarray()
+    assert known == {"c": 0, "ab": 1}
+    expected = dict(composition_weights("abc", table, config))
+    assert dropped.tolist() == [[expected["c"], expected["ab"]]]
+
+
+@pytest.mark.parametrize("variant", [Variant.PBOS, Variant.BOS])
+def test_training_approaches_the_min_norm_least_squares_solution(variant):
+    # SGD from zero stays in the row space of W, so on a consistent system
+    # it converges to the minimum-norm solution of W x = targets
+    rng = np.random.default_rng(5)
+    words = ["abc", "bca", "cab", "abab"]
+    table = build_table({"abc": 3, "bca": 2, "cab": 1, "ab": 4})
+    config = TrainConfig(variant=variant, epochs=400, lr_decay=False, bos_min_len=2, bos_max_len=3)
+    targets = TargetEmbeddings(dim=3, entries={w: rng.standard_normal(3) for w in words})
+    columns: dict[str, int] = {}
+    dense = weight_matrix(words, table, config, columns, extend=True).toarray()
+    assert np.linalg.matrix_rank(dense) == len(words)
+    goal = np.array(list(targets.entries.values()))
+    optimum = np.linalg.lstsq(dense, goal, rcond=None)[0]
+    model = train(targets, table, config)
+    assert model.embeddings.index == columns
+    assert model.loss_trace[-1] < 1e-20
+    assert np.max(np.abs(model.embeddings.matrix - optimum)) < 1e-9
 
 
 # --- training -----------------------------------------------------------------
@@ -531,6 +601,9 @@ def _edit_probs(edit):
     return lambda d: np.save(d / "probs.npy", edit(np.load(d / "probs.npy")))
 
 
+DROP_LOSS_TRACE = _edit_config(lambda c: c.pop("loss_trace"))
+
+
 # The damaged model lists "a" and "b" with vectors and "ab" in the table only.
 @pytest.mark.parametrize("damage, name", [
     (lambda d: (d / "vectors.npy").unlink(), "vectors.npy"),
@@ -554,7 +627,7 @@ def _edit_probs(edit):
     (_edit_config(lambda c: c["table"].update(total_mass=math.nan)), "config.json"),
     (_edit_config(lambda c: c["table"].update(probs={})), "config.json"),
     (_edit_config(lambda c: c.update(loss_trace=[0.5, "low"])), "config.json"),
-    (_edit_config(lambda c: c.pop("loss_trace")), "config.json"),
+    (DROP_LOSS_TRACE, "config.json"),
     (_write("config.json", "[]\n"), "config.json"),
     (_write("subwords.txt", "a\nb\na\n"), "subwords.txt"),
     (_write("subwords.txt", "a\nb\nab"), "subwords.txt"),
@@ -575,3 +648,4 @@ def test_load_errors_name_the_file(tmp_path, damage, name):
     with pytest.raises((ValueError, OSError)) as caught:
         PbosModel.load(tmp_path)
     assert str(tmp_path / name) in str(caught.value)
+    assert ("missing key 'loss_trace'" in str(caught.value)) is (damage is DROP_LOSS_TRACE)

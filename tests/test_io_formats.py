@@ -72,6 +72,19 @@ def test_write_embeddings_errors():
         )
 
 
+def test_write_embeddings_formats_like_format_9g_per_value():
+    values = [-0.0, 0.0, 5e-324, 2.5e-310, -1e300, 1e300, 3.0, -12.0, 1e16, 0.1, 1.0 / 3.0, 123456789.5]
+    vectors = {"a": np.array(values), "b": np.array(values[::-1]) * -1.0}
+    buffer = io.StringIO()
+    write_embeddings(vectors, buffer)
+    expected = f"2 {len(values)}\n" + "".join(
+        token + "".join(" " + format(value, ".9g") for value in vector) + "\n"
+        for token, vector in vectors.items()
+    )
+    assert buffer.getvalue() == expected
+    assert " -0 " in expected and " 4.94065646e-324 " in expected and " 1e+300 " in expected
+
+
 def test_write_then_read_round_trip():
     entries = {"alpha": np.array([0.123456789, -7.0]), "beta": np.array([1e-5, 2.5])}
     buffer = io.StringIO()

@@ -12,6 +12,7 @@ import oracles
 from pbos.io_formats import read_subwords
 from pbos.lattice import (
     MAX_ENUM_LEN,
+    MAX_TOP_K,
     MAX_WORD_LEN,
     backward_sums,
     enumerate_all_segmentations,
@@ -388,6 +389,12 @@ def test_top_k_on_a_long_word_is_ranked_and_starts_with_the_viterbi_path(seed):
 def test_top_k_rejects_bad_k():
     with pytest.raises(ValueError):
         top_k_segmentations("ab", UNIT, 0)
+
+
+def test_top_k_bounds_k():
+    assert len(top_k_segmentations("a" * 8, UNIT, MAX_TOP_K)) == MAX_TOP_K
+    with pytest.raises(ValueError, match=str(MAX_TOP_K)):
+        top_k_segmentations("ab", UNIT, MAX_TOP_K + 1)
 
 
 # --- exhaustive enumeration -------------------------------------------------
