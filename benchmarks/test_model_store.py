@@ -11,9 +11,12 @@ the repository root with::
 
     python -m pytest benchmarks/ --benchmark-only
 
-``test_compose`` composes the query batch word by word and
-``test_compose_many`` as one ``W @ matrix``; divide either by 200 for
-one word.
+``test_compose`` composes the query batch word by word on a fresh model
+each round, so every call runs the lattice (cold, as a first occurrence);
+``test_compose_repeat`` composes it again on a model that has composed it
+once, so every call is a lookup in the model's compose memo; and
+``test_compose_many`` composes it as one ``W @ matrix``.  Divide any of
+them by 200 for one word.
 """
 
 import numpy as np
@@ -65,9 +68,23 @@ def queries():
     return _words(np.random.default_rng(SEED + 1), QUERIES, 3, 25)
 
 
+def _compose_all(model, queries):
+    return [model.compose(w) for w in queries]
+
+
 def test_compose(benchmark, model, queries):
-    vectors = benchmark(lambda: [model.compose(w) for w in queries])
+    def fresh_model():
+        return (PbosModel(model.table, model.embeddings, model.config), queries), {}
+
+    vectors = benchmark.pedantic(_compose_all, setup=fresh_model, rounds=50)
     assert len(vectors) == QUERIES
+
+
+def test_compose_repeat(benchmark, model, queries):
+    warm = PbosModel(model.table, model.embeddings, model.config)
+    first = _compose_all(warm, queries)
+    vectors = benchmark(_compose_all, warm, queries)
+    assert all(again is vector for again, vector in zip(vectors, first))
 
 
 def test_compose_many(benchmark, model, queries):

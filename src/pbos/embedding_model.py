@@ -36,6 +36,19 @@ its weights from the same rows.  A model composes words in two ways:
 * :meth:`PbosModel.compose` - one word, from the same word -> (rows,
   weights) step, without building ``W`` (a long-lived caller).
 
+A word's vector is a pure function of its spelling and the model, so
+``compose`` memoizes it: each model keeps a dict, word -> composed vector,
+that ``compose`` reads before it runs the lattice.  The memo holds at most
+``COMPOSE_MEMO_BYTES`` of vectors and evicts the oldest entry first when
+full.  It is a plain per-instance dict, not a cache over a bound method,
+so a model and its memo form no reference cycle and a dropped model is
+freed at once.  A memoized vector must never go stale, so the model's
+inputs are immutable: ``compose`` returns read-only arrays,
+:class:`SubwordEmbeddings` marks its matrix read-only, :class:`TrainConfig`
+and :class:`SubwordTable` are frozen, and re-binding a model's ``table``,
+``embeddings`` or ``config`` drops its memo.  Their dicts (the table's
+``probs`` and the embeddings' ``index``) are not to be edited in place.
+
 A model directory stores each subword once:
 
 * ``config.json``  - the :class:`TrainConfig` fields under ``"train"``, the
@@ -85,6 +98,10 @@ MODEL_SUBWORDS_FILE = "subwords.txt"
 MODEL_PROBS_FILE = "probs.npy"
 MODEL_MATRIX_FILE = "vectors.npy"
 
+# Bound on the vector bytes each model's compose memo holds: 20,971
+# vectors of dim 50, 3,495 of dim 300.
+COMPOSE_MEMO_BYTES = 8 * 2**20
+
 
 class Variant(str, Enum):
     PBOS = "pbos"
@@ -92,7 +109,7 @@ class Variant(str, Enum):
     PBOS_N = "pbos-n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Training settings; the defaults are the word-similarity settings.
     The fallback probability for unknown characters belongs to the
@@ -128,7 +145,7 @@ class TrainConfig:
                 f"{self.bos_min_len}..{self.bos_max_len}"
             )
         if not isinstance(self.variant, Variant):
-            self.variant = Variant(self.variant)
+            object.__setattr__(self, "variant", Variant(self.variant))
 
     @property
     def use_word_boundary(self) -> bool:
@@ -149,7 +166,8 @@ class SubwordEmbeddings:
 
     Built either from a ``vectors`` mapping (copied into a new matrix) or
     from a ``matrix`` whose rows belong, in order, to ``subwords``, which
-    it keeps without copying.  Absent subwords compose as the zero vector.
+    it keeps without copying and marks read-only, so vectors composed from
+    it cannot go stale.  Absent subwords compose as the zero vector.
     """
 
     def __init__(
@@ -173,6 +191,7 @@ class SubwordEmbeddings:
             raise ValueError(
                 f"matrix has shape {matrix.shape}, expected ({len(index)}, {dim})"
             )
+        matrix.flags.writeable = False
         self.dim = dim
         self.matrix = matrix
         self.index = index  # in row order
@@ -188,9 +207,7 @@ class _RowView(Mapping):
         self._embeddings = embeddings
 
     def __getitem__(self, subword: str) -> np.ndarray:
-        row = self._embeddings.matrix[self._embeddings.index[subword]]
-        row.flags.writeable = False
-        return row
+        return self._embeddings.matrix[self._embeddings.index[subword]]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._embeddings.index)
@@ -314,6 +331,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return dict(pairs)
 
 
+_COMPOSE_INPUTS = frozenset({"table", "embeddings", "config"})
+
+
 @dataclass
 class PbosModel:
     """A frozen subword table plus trained subword vectors."""
@@ -323,16 +343,41 @@ class PbosModel:
     config: TrainConfig
     loss_trace: list[float] = field(default_factory=list)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name in _COMPOSE_INPUTS:
+            # after the new value is in place, so that a concurrent compose
+            # that finds the new memo also finds the new value
+            object.__setattr__(self, "_composed", {})
+
     def compose(self, word: str) -> np.ndarray:
-        """Compose the vector for any word from its subword vectors."""
-        rows, weights = _rows_and_weights(
-            word, self.table, self.config, self.embeddings.index, extend=False
-        )
-        return _weighted_sum(
-            np.array(weights, dtype=np.float64),
-            self.embeddings.matrix[rows],
-            normalize=self.config.variant is Variant.PBOS_N,
-        )
+        """Compose the vector for any word from its subword vectors.
+
+        The result is read-only and memoized per model (see the module
+        docstring): a repeated word costs one dict lookup.  When the memo
+        would hold more than ``COMPOSE_MEMO_BYTES`` of vectors it evicts
+        its oldest entries, and an eviction does not raise when threads
+        call ``compose`` at the same time.
+        """
+        memo = self._composed
+        vector = memo.get(word)
+        if vector is None:
+            rows, weights = _rows_and_weights(
+                word, self.table, self.config, self.embeddings.index, extend=False
+            )
+            vector = _weighted_sum(
+                np.array(weights, dtype=np.float64),
+                self.embeddings.matrix[rows],
+                normalize=self.config.variant is Variant.PBOS_N,
+            )
+            vector.flags.writeable = False
+            memo[word] = vector
+            while len(memo) * vector.nbytes > COMPOSE_MEMO_BYTES:
+                try:
+                    del memo[next(iter(memo))]
+                except (KeyError, RuntimeError, StopIteration):
+                    pass  # another thread evicted or inserted meanwhile
+        return vector
 
     def compose_many(self, words: Iterable[str]) -> np.ndarray:
         """Compose a batch as ``W @ matrix``: row i is ``compose`` of the
@@ -462,8 +507,10 @@ def train(
 
     Composition weights depend only on the frozen table, so the weight
     matrix ``W`` of the targets is built once up front; its columns, in
-    first-seen order, are the rows of the trained matrix, and each visit
-    reads one row of ``W``.
+    first-seen order, are the rows of the trained matrix.  Each word's
+    rows, weights, target and step scale are sliced out of ``W`` once,
+    before the first epoch, and the trained matrix is handed to the model
+    (which marks it read-only) only after the last.
     """
     if not targets.entries:
         raise ValueError("empty target vocabulary")
@@ -479,9 +526,12 @@ def train(
     w_matrix = weight_matrix(targets.entries, table, config, subword_rows, extend=True)
     bounds = w_matrix.indptr.tolist()
     indices, data = w_matrix.indices, w_matrix.data
-    step_scales = [
-        1.0 / max(1.0, float(data[lo:hi] @ data[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
-    ]
+    # per word: (rows, weights as a column, target, step scale)
+    visits = []
+    for lo, hi, goal in zip(bounds, bounds[1:], goals):
+        weights = data[lo:hi]
+        scale = 1.0 / max(1.0, float(weights @ weights))
+        visits.append((indices[lo:hi], weights[:, None], goal, scale))
 
     matrix = np.zeros((len(subword_rows), dim))
     rng = np.random.default_rng(config.seed)
@@ -492,12 +542,13 @@ def train(
         order = rng.permutation(len(goals))
         squared_sum = 0.0
         for index in order:
-            lo, hi = bounds[index], bounds[index + 1]
-            rows, weights = indices[lo:hi], data[lo:hi]
-            gathered = matrix[rows]
-            residual = _weighted_sum(weights, gathered, normalize) - goals[index]
+            rows, column, goal, scale = visits[index]
+            gathered = matrix.take(rows, axis=0)
+            residual = _weighted_sum(column[:, 0], gathered, normalize)
+            residual -= goal
             squared_sum += float(residual @ residual)
-            matrix[rows] = gathered - np.outer(lr * step_scales[index] * weights, residual)
+            gathered -= (lr * scale) * column * residual
+            matrix[rows] = gathered
         trace.append(squared_sum / len(goals))
         if not math.isfinite(trace[-1]):
             raise ValueError(f"training loss is not finite in epoch {epoch}: {trace[-1]}")

@@ -1,11 +1,16 @@
+import gc
+import itertools
 import json
 import math
-from dataclasses import fields
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 
-from pbos import cli
+from pbos import cli, embedding_model
 from pbos.embedding_model import (
     BOUNDARY_END,
     BOUNDARY_START,
@@ -199,8 +204,7 @@ def test_pbos_compose_norm_bounded_by_largest_subword_norm():
 BATCH_WORDS = ["abcab", "cabbage", "bad", "ab", "zzq", "dcba"]
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-def test_compose_many_matches_compose_word_by_word(variant):
+def _batch_model(variant):
     rng = np.random.default_rng(11)
     table = build_table({"abc": 4, "cab": 2, "bad": 3, "cabbage": 1})
     config = TrainConfig(variant=variant)
@@ -209,7 +213,12 @@ def test_compose_many_matches_compose_word_by_word(variant):
     kept = [sub for sub in subwords if not set(sub) & set("zq")][::3][1:] + subwords[:1]
     vectors = {sub: rng.standard_normal(4) * 10.0 ** rng.integers(-3, 4) for sub in kept}
     vectors[kept[0]] = np.zeros(4)
-    model = make_model(table, dim=4, variant=variant, vectors=vectors)
+    return make_model(table, dim=4, variant=variant, vectors=vectors)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_compose_many_matches_compose_word_by_word(variant):
+    model = _batch_model(variant)
     batch = model.compose_many(BATCH_WORDS)
     assert batch.shape == (len(BATCH_WORDS), 4)
     for word, row in zip(BATCH_WORDS, batch):
@@ -218,6 +227,125 @@ def test_compose_many_matches_compose_word_by_word(variant):
     # "zzq" has no subword with a vector
     assert not batch[BATCH_WORDS.index("zzq")].any()
     assert not model.compose("zzq").any()
+
+
+# --- the compose memo and the immutable model inputs ------------------------------
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_memoized_compose_is_byte_identical_to_the_first_call(variant):
+    model = _batch_model(variant)
+    first = [model.compose(word) for word in BATCH_WORDS]
+    again = [model.compose(word) for word in reversed(BATCH_WORDS)][::-1]
+    # a model that composes the words in another order computes each once
+    fresh = _batch_model(variant)
+    other = [fresh.compose(word) for word in reversed(BATCH_WORDS)][::-1]
+    batch = model.compose_many(BATCH_WORDS)
+    for word, vector, repeat, cold, row in zip(BATCH_WORDS, first, again, other, batch):
+        assert repeat.tobytes() == vector.tobytes() == cold.tobytes(), word
+        assert np.max(np.abs(row - vector)) <= 1e-13 * np.max(np.abs(vector))
+
+
+def test_compose_returns_a_read_only_array():
+    model = make_model(UNIT, vectors={"a": np.array([1.0, 2.0])})
+    for _ in range(2):  # the first call and the memoized one
+        vector = model.compose("ab")
+        with pytest.raises(ValueError):
+            vector[0] = 5.0
+    assert np.array_equal(model.compose("a"), [1.0, 2.0])
+
+
+def test_the_compose_memo_stays_within_its_bound():
+    # vectors of a quarter of the bound, so the memo holds four of them
+    dim = embedding_model.COMPOSE_MEMO_BYTES // 8 // 4
+    rng = np.random.default_rng(4)
+    table = build_table({"abc": 3, "bca": 2, "cab": 1})
+    vectors = {sub: rng.standard_normal(dim) for sub in ["a", "b", "c", "ab"]}
+    model = make_model(table, dim=dim, vectors=vectors)
+    words = ["".join(letters) for letters in itertools.product("abc", repeat=3)][:12]
+    expected = model.compose_many(words)
+    first = [model.compose(word) for word in words]
+    assert len(model._composed) == 4
+    # the last four words are still memoized; the others were evicted oldest first
+    assert all(model.compose(word) is vector for word, vector in zip(words[-4:], first[-4:]))
+    recomposed = model.compose(words[0])
+    assert recomposed is not first[0]
+    assert recomposed.tobytes() == first[0].tobytes()
+    assert len(model._composed) == 4
+    for word, vector, row in zip(words, first, expected):
+        assert np.max(np.abs(row - vector)) <= 1e-13 * np.max(np.abs(vector)), word
+
+
+def test_threads_composing_past_the_memo_bound_get_correct_vectors():
+    # 16 memo slots for 81 words; a short switch interval makes threads
+    # race on evictions in most runs (an eviction that raised would show)
+    dim = embedding_model.COMPOSE_MEMO_BYTES // 8 // 16
+    rng = np.random.default_rng(5)
+    table = build_table({"abc": 3, "bca": 2, "cab": 1})
+    model = make_model(table, dim=dim, vectors={sub: rng.standard_normal(dim) for sub in "abc"})
+    words = ["".join(letters) for letters in itertools.product("abc", repeat=4)]
+    expected = dict(zip(words, model.compose_many(words)))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda word: (word, model.compose(word)), words * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for word, vector in results:
+        assert np.max(np.abs(expected[word] - vector)) <= 1e-13 * np.max(np.abs(vector)), word
+    assert len(model._composed) <= 16
+
+
+def test_the_embeddings_matrix_is_read_only():
+    given = np.ones((1, 2))
+    embeddings = [
+        SubwordEmbeddings(2, {"a": np.ones(2)}),
+        SubwordEmbeddings(2, matrix=given, subwords=["a"]),
+        train(TargetEmbeddings(dim=2, entries={"a": np.ones(2)}), UNIT, TrainConfig(epochs=1)).embeddings,
+    ]
+    for store in embeddings:
+        with pytest.raises(ValueError):
+            store.matrix[0, 0] = 5.0
+    # the matrix is kept without a copy, so the caller's array is read-only too
+    assert embeddings[1].matrix is given
+
+
+def test_train_config_is_frozen():
+    config = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.epochs = 3
+    assert TrainConfig(variant="bos").variant is Variant.BOS
+
+
+def test_rebinding_a_model_input_drops_the_memo():
+    table = SubwordTable({"a": 0.5, "b": 0.5, "ab": 0.5})
+    model = make_model(table, vectors={"a": np.array([3.0, 4.0]), "b": np.array([1.0, 0.0])})
+    assert np.array_equal(model.compose("a"), [3.0, 4.0])
+    model.embeddings = SubwordEmbeddings(2, {"a": np.array([6.0, 8.0]), "b": np.array([1.0, 0.0])})
+    assert np.array_equal(model.compose("a"), [6.0, 8.0])
+    model.config = TrainConfig(variant=Variant.PBOS_N)
+    assert model.compose("a") == pytest.approx([0.6, 0.8], abs=1e-12)
+    model.config = TrainConfig()
+    ab = model.compose("ab")
+    model.table = SubwordTable({"a": 0.5, "b": 0.5})
+    assert model.compose("ab") == pytest.approx([3.5, 4.0], abs=1e-12)
+    assert not np.allclose(ab, model.compose("ab"))
+    model.loss_trace = [1.0]  # not an input of compose
+    assert model.loss_trace == [1.0]
+
+
+def test_a_model_that_has_composed_is_freed_without_the_cycle_collector():
+    model = make_model(UNIT, vectors={"a": np.ones(2)})
+    model.compose("ab")
+    ref = weakref.ref(model)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_compose_many_of_no_words_is_empty():
