@@ -66,7 +66,7 @@ def compounds():
 
 
 def _batch(table, words):
-    return [subword_weights(word, table).weights for word in words]
+    return [subword_weights(word, table) for word in words]
 
 
 def test_weights_counted_table(benchmark, counted, compounds):

@@ -44,7 +44,6 @@ from .io_formats import (
     write_subwords,
 )
 from .lattice import (
-    LatticeResult,
     Segmentation,
     backward_sums,
     enumerate_all_segmentations,
@@ -62,7 +61,6 @@ __all__ = [
     "Affix",
     "AffixInstance",
     "FormatError",
-    "LatticeResult",
     "PbosModel",
     "Segmentation",
     "SimilarityPair",

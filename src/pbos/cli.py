@@ -202,10 +202,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"--m must be at least 1, got {args.m}")
     table = _read_subwords(args.subwords)
     for word in args.words:
         segmentations = lattice.top_k_segmentations(word, table, args.k)
-        weights = lattice.subword_weights(word, table).weights
+        weights = lattice.subword_weights(word, table)
         top_subwords = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[: args.m]
         seg_text = ", ".join(
             f"{'/'.join(seg)} ({prob:.3f})" for seg, prob in segmentations

@@ -37,17 +37,15 @@ its weights from the same rows.  A model composes words in two ways:
   weights) step, without building ``W`` (a long-lived caller).
 
 A word's vector is a pure function of its spelling and the model, so
-``compose`` memoizes it: each model keeps a dict, word -> composed vector,
-that ``compose`` reads before it runs the lattice.  The memo holds at most
-``COMPOSE_MEMO_BYTES`` of vectors and evicts the oldest entry first when
-full.  It is a plain per-instance dict, not a cache over a bound method,
-so a model and its memo form no reference cycle and a dropped model is
-freed at once.  A memoized vector must never go stale, so the model's
-inputs are immutable: ``compose`` returns read-only arrays,
-:class:`SubwordEmbeddings` marks its matrix read-only, :class:`TrainConfig`
-and :class:`SubwordTable` are frozen, and re-binding a model's ``table``,
-``embeddings`` or ``config`` drops its memo.  Their dicts (the table's
-``probs`` and the embeddings' ``index``) are not to be edited in place.
+``compose`` memoizes it in a dict field of the model, word -> vector,
+that holds at most ``COMPOSE_MEMO_BYTES`` of vectors and evicts the
+oldest entry first.  The dict holds no reference to its model, so a
+dropped model is freed at once.  No memoized vector goes stale, because
+nothing ``compose`` reads can change: :class:`PbosModel`,
+:class:`TrainConfig` and :class:`SubwordTable` are frozen,
+:class:`SubwordEmbeddings` marks its matrix read-only, and ``compose``
+returns read-only arrays.  The table's ``probs`` and the embeddings'
+``index`` are not to be edited in place.
 
 A model directory stores each subword once:
 
@@ -248,7 +246,7 @@ def composition_weights(
             word, config.bos_min_len, config.bos_max_len, config.use_word_boundary
         )
         return [(sub, float(count)) for sub, count in counts.items()]
-    return list(lattice.subword_weights(word, table).weights.items())
+    return list(lattice.subword_weights(word, table).items())
 
 
 def _rows_and_weights(
@@ -331,10 +329,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return dict(pairs)
 
 
-_COMPOSE_INPUTS = frozenset({"table", "embeddings", "config"})
-
-
-@dataclass
+@dataclass(frozen=True)
 class PbosModel:
     """A frozen subword table plus trained subword vectors."""
 
@@ -342,22 +337,14 @@ class PbosModel:
     embeddings: SubwordEmbeddings
     config: TrainConfig
     loss_trace: list[float] = field(default_factory=list)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name in _COMPOSE_INPUTS:
-            # after the new value is in place, so that a concurrent compose
-            # that finds the new memo also finds the new value
-            object.__setattr__(self, "_composed", {})
+    _composed: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def compose(self, word: str) -> np.ndarray:
         """Compose the vector for any word from its subword vectors.
 
         The result is read-only and memoized per model (see the module
-        docstring): a repeated word costs one dict lookup.  When the memo
-        would hold more than ``COMPOSE_MEMO_BYTES`` of vectors it evicts
-        its oldest entries, and an eviction does not raise when threads
-        call ``compose`` at the same time.
+        docstring), so a repeated word costs one dict lookup.  Evictions
+        do not raise when threads call ``compose`` at the same time.
         """
         memo = self._composed
         vector = memo.get(word)
@@ -393,8 +380,8 @@ class PbosModel:
     def save(self, directory: str | Path) -> None:
         """Write the model directory laid out in the module docstring.
 
-        A subword containing a newline, or a table probability outside
-        (0, 1], raises ``ValueError`` before any file is written.
+        A subword containing a newline raises ``ValueError`` before any
+        file is written.
         """
         index, probs = self.embeddings.index, self.table.probs
         subwords = [*index, *(subword for subword in probs if subword not in index)]
@@ -403,9 +390,6 @@ class PbosModel:
             bad = next(subword for subword in subwords if "\n" in subword)
             raise ValueError(f"subword contains a newline: {bad!r}")
         values = np.fromiter((probs.get(s, 0.0) for s in subwords), np.float64, len(subwords))
-        # every entry has one position, so all are valid if that many are
-        if np.count_nonzero((values > 0.0) & (values <= 1.0)) != len(probs):
-            raise ValueError("every table probability must be in (0, 1]")
         document = {
             "train": {f.name: getattr(self.config, f.name) for f in fields(TrainConfig)},
             "table": {

@@ -144,7 +144,7 @@ def affix_predict_pbos(
     candidates = possible_affixes(word, inventory)
     if not candidates:
         raise ValueError(f"no possible affix for {word!r}")
-    weights = lattice.subword_weights(word, table).weights
+    weights = lattice.subword_weights(word, table)
     return min(
         candidates,
         key=lambda a: (-weights.get(a.text, 0.0), -table.lookup(a.text), a.text, a.kind),

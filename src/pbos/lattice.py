@@ -31,7 +31,10 @@ Rabiner, 1989).  The terms of a sum are added relative to the largest
 exponent among them, so none can overflow.  A power-of-two shift is
 exact: wherever plain float arithmetic stays in the normal range the pass
 yields the same bits, and where it would underflow the weights,
-likelihoods and rankings keep full precision.
+likelihoods and rankings keep full precision.  ``subword_weights``
+returns the pass's own weights; only the plain floats that
+``forward_sums``, ``backward_sums`` and ``partition`` return can
+underflow.
 
 The k most likely segmentations come from a left-to-right DP that keeps a
 k-best list per position (Huang & Chiang, "Better k-best parsing", 2005).
@@ -43,7 +46,6 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
 from .subword_stats import SubwordTable
 
@@ -64,27 +66,6 @@ _Sums = tuple[list[float], list[int]]
 
 # The exponent an empty sum starts from, below that of any float product.
 _EMPTY_EXP = -sys.maxsize
-
-
-@dataclass(frozen=True)
-class LatticeResult:
-    """Forward/backward sums and normalized subword weights for one word.
-
-    ``forward[i]`` sums segment-probability products over all segmentations
-    of ``word[:i]`` (``forward[0] == 1``); ``backward[i]`` does the same for
-    ``word[i:]`` (``backward[n] == 1``).  ``partition`` is the total mass of
-    all segmentations, i.e. ``forward[n]``.  These three are plain floats,
-    so on long words they underflow to 0.0.  ``weights`` maps each subword
-    to its normalized marginal mass, accumulated over repeated occurrences,
-    and sums to 1; it is computed from the scaled sums, so it keeps full
-    precision when ``partition`` has underflowed.
-    """
-
-    word: str
-    forward: list[float]
-    backward: list[float]
-    partition: float
-    weights: dict[str, float]
 
 
 def _check_word(word: str, limit: int = MAX_WORD_LEN) -> None:
@@ -187,40 +168,45 @@ def _likelihood(seg: Segmentation, table: SubwordTable, forward: _Sums) -> float
 
 
 def forward_sums(word: str, table: SubwordTable) -> list[float]:
-    """Path sums over all segmentations of every prefix of ``word``."""
+    """Path sums over all segmentations of every prefix of ``word``.
+
+    ``forward[i]`` sums segment-probability products over all
+    segmentations of ``word[:i]``, and ``forward[0] == 1``.  The sums are
+    plain floats, so on long words they underflow to 0.0.
+    """
     _, forward, _, _ = _scaled_pass(word, table)
     return list(map(math.ldexp, *forward))
 
 
 def backward_sums(word: str, table: SubwordTable) -> list[float]:
-    """Mirror of :func:`forward_sums`, accumulated from the right end."""
+    """Mirror of :func:`forward_sums`, accumulated from the right end:
+    ``backward[i]`` sums over the segmentations of ``word[i:]``, and
+    ``backward[n] == 1``.  On long words these plain floats underflow to
+    0.0 too."""
     _, _, backward, _ = _scaled_pass(word, table)
     return list(map(math.ldexp, *backward))
 
 
 def partition(word: str, table: SubwordTable) -> float:
-    """Total probability mass over all segmentations of ``word``."""
+    """Total probability mass over all segmentations of ``word``, i.e.
+    ``forward[n]``.  A plain float, so on long words it underflows to
+    0.0."""
     _, (fwd_m, fwd_e), _, _ = _scaled_pass(word, table)
     return math.ldexp(fwd_m[-1], fwd_e[-1])
 
 
-def subword_weights(word: str, table: SubwordTable) -> LatticeResult:
+def subword_weights(word: str, table: SubwordTable) -> dict[str, float]:
     """Normalized marginal weight of every subword of ``word``.
 
     Each occurrence of a subword at span (i, j) contributes
     ``prob * forward[i] * backward[j]``; occurrences of the same string
     accumulate under one key.  Weights are normalized to sum to 1 over all
-    subwords.  Zero-probability subwords are omitted.
+    subwords.  Zero-probability subwords are omitted.  The weights come
+    from the scaled sums, so they keep full precision where the partition
+    underflows.
     """
-    _, (fwd_m, fwd_e), (bwd_m, bwd_e), weights = _scaled_pass(word, table)
-    ldexp = math.ldexp
-    return LatticeResult(
-        word=word,
-        forward=list(map(ldexp, fwd_m, fwd_e)),
-        backward=list(map(ldexp, bwd_m, bwd_e)),
-        partition=ldexp(fwd_m[-1], fwd_e[-1]),
-        weights=weights,
-    )
+    _, _, _, weights = _scaled_pass(word, table)
+    return weights
 
 
 def segmentation_likelihood(

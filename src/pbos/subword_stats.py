@@ -19,6 +19,9 @@ from collections import Counter
 from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+
+import numpy as np
 
 # A word frequency list is any mapping or iterable of (word, count) pairs.
 WordFreqList = Iterable[tuple[str, int]] | Mapping[str, int]
@@ -46,10 +49,11 @@ def _is_number(value: object, kinds: tuple[type, ...] = (int, float)) -> bool:
 class SubwordTable:
     """Immutable subword probability lookup.
 
-    ``probs`` maps each counted subword to a probability in (0, 1].
-    Single characters missing from the table fall back to ``prob_eps``, in
-    (0, 1), so that every string keeps at least one valid segmentation;
-    missing strings of length >= 2 have probability exactly 0.
+    ``probs`` maps each counted subword to a probability in (0, 1], which
+    the table checks.  Single characters missing from the table fall back
+    to ``prob_eps``, in (0, 1), so that every string keeps at least one
+    valid segmentation; missing strings of length >= 2 have probability
+    exactly 0.
     ``max_len`` records the longest subword length counted (None when
     unbounded), and ``total_mass`` the count total (finite and >= 0).
 
@@ -70,6 +74,11 @@ class SubwordTable:
             raise ValueError(f"total_mass must be a finite real number >= 0, got {self.total_mass!r}")
         if self.max_len is not None and (not _is_number(self.max_len, (int,)) or self.max_len < 1):
             raise ValueError(f"max_len must be None or an int >= 1, got {self.max_len!r}")
+        values = np.fromiter(self.probs.values(), np.float64, len(self.probs))
+        valid = (values > 0.0) & (values <= 1.0)  # false for nan
+        if not valid.all():
+            subword, prob = next(islice(self.probs.items(), int(np.argmin(valid)), None))
+            raise ValueError(f"subword {subword!r} has probability {prob!r}; it must be in (0, 1]")
 
     @cached_property
     def stems(self) -> Container[str]:

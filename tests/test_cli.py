@@ -201,3 +201,24 @@ def test_segment_exits_2_on_a_k_above_the_bound(tmp_path, capsys):
     assert code == cli.EXIT_DATA
     assert str(MAX_TOP_K) in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("m", [-1, 0])
+def test_segment_exits_2_on_an_m_below_1(tmp_path, capsys, m):
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t0.5\nb\t0.5\n", encoding="utf-8")
+    code = cli.main(["segment", "--subwords", str(subwords), "--m", str(m), "ab"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert "--m" in captured.err
+    assert captured.out == ""
+
+
+def test_segment_prints_the_top_segmentations_and_subword_weights(tmp_path, capsys):
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t0.3\nb\t0.3\nab\t0.2\nba\t0.2\n", encoding="utf-8")
+    code = cli.main(["segment", "--subwords", str(subwords), "--k", "2", "--m", "5", "abab"])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out == (
+        "abab\tab/ab (0.392), a/b/ab (0.176)\tab (0.423), a (0.256), b (0.256), ba (0.066)\n"
+    )

@@ -321,17 +321,17 @@ def test_rebinding_a_model_input_drops_the_memo():
     table = SubwordTable({"a": 0.5, "b": 0.5, "ab": 0.5})
     model = make_model(table, vectors={"a": np.array([3.0, 4.0]), "b": np.array([1.0, 0.0])})
     assert np.array_equal(model.compose("a"), [3.0, 4.0])
-    model.embeddings = SubwordEmbeddings(2, {"a": np.array([6.0, 8.0]), "b": np.array([1.0, 0.0])})
-    assert np.array_equal(model.compose("a"), [6.0, 8.0])
-    model.config = TrainConfig(variant=Variant.PBOS_N)
-    assert model.compose("a") == pytest.approx([0.6, 0.8], abs=1e-12)
-    model.config = TrainConfig()
-    ab = model.compose("ab")
-    model.table = SubwordTable({"a": 0.5, "b": 0.5})
-    assert model.compose("ab") == pytest.approx([3.5, 4.0], abs=1e-12)
-    assert not np.allclose(ab, model.compose("ab"))
-    model.loss_trace = [1.0]  # not an input of compose
-    assert model.loss_trace == [1.0]
+    # the model is frozen, so no input can change under its memo
+    replacements = {
+        "table": SubwordTable({"a": 0.5, "b": 0.5}),
+        "embeddings": SubwordEmbeddings(2, {"a": np.array([6.0, 8.0])}),
+        "config": TrainConfig(variant=Variant.PBOS_N),
+        "loss_trace": [1.0],
+    }
+    for name, value in replacements.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, value)
+    assert np.array_equal(model.compose("a"), [3.0, 4.0])
 
 
 def test_a_model_that_has_composed_is_freed_without_the_cycle_collector():
@@ -637,8 +637,8 @@ def test_a_config_with_every_field_changed_round_trips(tmp_path):
 
 
 def test_loss_trace_round_trips_exactly(tmp_path):
-    model = make_model(SubwordTable({"a": 1.0}))
-    model.loss_trace = [0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, 0.0]
+    trace = [0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, 0.0]
+    model = PbosModel(SubwordTable({"a": 1.0}), SubwordEmbeddings(2), TrainConfig(), loss_trace=trace)
     model.save(tmp_path)
     assert PbosModel.load(tmp_path).loss_trace == model.loss_trace
 
@@ -669,12 +669,11 @@ def test_save_rejects_a_subword_with_a_newline(tmp_path):
 
 
 @pytest.mark.parametrize("prob", [0.0, -0.5, 1.5, math.nan])
-def test_save_rejects_a_table_probability_outside_the_unit_interval(tmp_path, prob):
-    # a vector's subword with probability 0.0 would read back as no entry
-    model = make_model(SubwordTable({"a": 1.0, "b": prob}), vectors={"b": np.ones(2)})
+def test_save_rejects_a_table_probability_outside_the_unit_interval(prob):
+    # a vector's subword with probability 0.0 would read back as no entry;
+    # the table rejects such a value, so no model holding it can be saved
     with pytest.raises(ValueError, match="probability"):
-        model.save(tmp_path / "model")
-    assert not (tmp_path / "model").exists()
+        SubwordTable({"a": 1.0, "b": prob})
 
 
 def test_subwords_with_tabs_and_header_names_in_the_table_round_trip(tmp_path):

@@ -90,14 +90,13 @@ def test_word_length_guard():
 # --- subword weights -------------------------------------------------------
 
 def test_single_char_word_has_unit_weight():
-    result = subword_weights("a", SubwordTable({"a": 0.7}))
-    assert result.weights == {"a": 1.0}
-    assert result.partition == 0.7
+    table = SubwordTable({"a": 0.7})
+    assert subword_weights("a", table) == {"a": 1.0}
+    assert partition("a", table) == 0.7
 
 
 def test_equal_unit_probs_give_equal_thirds():
-    result = subword_weights("ab", UNIT)
-    assert result.weights == pytest.approx({"a": 1 / 3, "b": 1 / 3, "ab": 1 / 3})
+    assert subword_weights("ab", UNIT) == pytest.approx({"a": 1 / 3, "b": 1 / 3, "ab": 1 / 3})
 
 
 def test_general_equal_probs_match_brute_force():
@@ -105,7 +104,7 @@ def test_general_equal_probs_match_brute_force():
     # carry relatively more mass as c shrinks
     for c in (0.25, 0.5, 0.9):
         table = SubwordTable({"a": c, "b": c, "ab": c})
-        got = subword_weights("ab", table).weights
+        got = subword_weights("ab", table)
         expected = oracles.brute_weights("ab", table)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got["ab"] == pytest.approx(1 / (2 * c + 1), abs=1e-12)
@@ -115,12 +114,12 @@ def test_weights_match_brute_force_on_random_instances():
     rng = random.Random(123)
     for _ in range(40):
         word, table = random_instance(rng, max_len=9)
-        result = subword_weights(word, table)
+        weights = subword_weights(word, table)
         expected = oracles.brute_weights(word, table)
-        assert set(result.weights) == set(expected)
+        assert set(weights) == set(expected)
         for sub, value in expected.items():
-            assert result.weights[sub] == pytest.approx(value, abs=1e-10)
-        assert result.partition == pytest.approx(
+            assert weights[sub] == pytest.approx(value, abs=1e-10)
+        assert partition(word, table) == pytest.approx(
             oracles.brute_partition(word, table), abs=1e-10
         )
 
@@ -129,31 +128,33 @@ def test_weights_sum_to_one():
     rng = random.Random(5)
     for _ in range(30):
         word, table = random_instance(rng)
-        weights = subword_weights(word, table).weights
+        weights = subword_weights(word, table)
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unique_occurrence_factorization():
     table = SubwordTable({"a": 0.4, "b": 0.2, "ab": 0.3})
-    result = subword_weights("ab", table)
+    weights = subword_weights("ab", table)
+    forward, backward = forward_sums("ab", table), backward_sums("ab", table)
     # each subword occurs once: its mass is prob * forward[i] * backward[j]
     masses = {
-        "a": 0.4 * result.forward[0] * result.backward[1],
-        "b": 0.2 * result.forward[1] * result.backward[2],
-        "ab": 0.3 * result.forward[0] * result.backward[2],
+        "a": 0.4 * forward[0] * backward[1],
+        "b": 0.2 * forward[1] * backward[2],
+        "ab": 0.3 * forward[0] * backward[2],
     }
     total = sum(masses.values())
     for sub, mass in masses.items():
-        assert result.weights[sub] == pytest.approx(mass / total, abs=1e-15)
+        assert weights[sub] == pytest.approx(mass / total, abs=1e-15)
 
 
 def test_underflowed_partition_falls_back_to_log_space():
     word = "z" * 300
-    result = subword_weights(word, SubwordTable({}, prob_eps=0.01))
+    table = SubwordTable({}, prob_eps=0.01)
+    weights = subword_weights(word, table)
     # only the all-single-character segmentation has positive mass
-    assert result.partition == 0.0
-    assert result.weights == pytest.approx({"z": 1.0})
-    assert sum(result.weights.values()) == pytest.approx(1.0, abs=1e-12)
+    assert partition(word, table) == 0.0
+    assert weights == pytest.approx({"z": 1.0})
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def exact_weights(word, table):
@@ -183,12 +184,12 @@ def exact_weights(word, table):
 ], ids=["equal-probs", "xy-dominant"])
 def test_weights_stay_exact_when_the_partition_is_subnormal(probs, word):
     table = SubwordTable(probs)
-    result = subword_weights(word, table)
-    assert 0.0 < result.partition < sys.float_info.min
+    weights = subword_weights(word, table)
+    assert 0.0 < partition(word, table) < sys.float_info.min
     expected = exact_weights(word, table)
-    assert set(result.weights) == set(expected)
+    assert set(weights) == set(expected)
     for sub, value in expected.items():
-        assert result.weights[sub] == pytest.approx(float(value), rel=1e-12)
+        assert weights[sub] == pytest.approx(float(value), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,7 +203,7 @@ def test_weights_property_against_oracle(data):
             if rng.random() < 0.5:
                 probs[word[i:j]] = rng.uniform(0.01, 1.0)
     table = SubwordTable(probs, prob_eps=0.05)
-    got = subword_weights(word, table).weights
+    got = subword_weights(word, table)
     expected = oracles.brute_weights(word, table)
     assert got == pytest.approx(expected, abs=1e-10)
 
@@ -212,7 +213,7 @@ def test_weights_property_against_oracle(data):
 # hold keys whose shorter prefixes are absent, so the stop must look past them.
 
 def assert_matches_oracles(word, table, k):
-    got = subword_weights(word, table).weights
+    got = subword_weights(word, table)
     expected = exact_weights(word, table)
     assert set(got) == set(expected)
     for sub, value in expected.items():
@@ -265,7 +266,7 @@ def test_a_table_read_from_a_file_without_key_prefixes_composes_exactly():
     assert table.stems is not table.probs
     for word in ("abcab", "cabcabc", "xabcx"):
         assert_matches_oracles(word, table, k=4)
-    assert {"abc", "cabca"} <= set(subword_weights("cabcabc", table).weights)
+    assert {"abc", "cabca"} <= set(subword_weights("cabcabc", table))
 
 
 # --- partition and likelihood ----------------------------------------------

@@ -61,6 +61,14 @@ def test_table_rejects_a_max_len_that_is_not_a_positive_int(max_len):
         SubwordTable({"a": 1.0}, max_len=max_len)
 
 
+@pytest.mark.parametrize("prob", [math.nan, math.inf, 0.0, -0.5, 1.5])
+def test_table_rejects_a_probability_outside_the_unit_interval(prob):
+    # unchecked, such a value makes the lattice weights NaN, divides by
+    # zero or gives wrong weights
+    with pytest.raises(ValueError, match="'ab' has probability"):
+        SubwordTable({"a": 0.5, "b": 0.5, "ab": prob})
+
+
 def test_build_names_a_max_len_below_one():
     with pytest.raises(ValueError, match="max_len"):
         build_table({"ab": 1}, max_len=0)
