@@ -7,14 +7,14 @@ query words, ``segment`` prints top segmentations and subword weights,
 and ``eval-ws``/``eval-affix`` run the evaluations.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Diagnostics go to
-stderr; data goes to stdout or the requested output file.
+stderr; data goes to stdout or the requested output file.  Every input
+file is read as UTF-8, and an error in one names the file; an output file
+is replaced whole or left as it was (see :mod:`pbos.io_formats`).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
 from dataclasses import fields, replace
 
@@ -132,44 +132,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_subwords(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return io_formats.read_subwords(fh)
+def _read(path: str, reader):
+    """``reader`` applied to the UTF-8 file at ``path``; its errors name the file."""
+    with io_formats.naming(path), open(path, encoding="utf-8") as fh:
+        return reader(fh)
 
 
 def _cmd_build_subwords(args) -> int:
-    with open(args.freqs, encoding="utf-8") as fh:
-        entries, skipped = io_formats.read_freqs(fh)
+    entries, skipped = _read(args.freqs, io_formats.read_freqs)
     if skipped:
         _info(f"skipped {skipped} malformed frequency lines")
     if args.lowercase:
         entries = [(word.lower(), count) for word, count in entries]
     table = build_table(entries, max_len=args.max_len, prob_eps=args.prob_eps)
-    # --out is replaced whole or left as it was
-    partial = args.out + ".partial"
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            io_formats.write_subwords(table, fh)
-        os.replace(partial, args.out)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(partial)
+    with io_formats.replaced(args.out) as fh:
+        io_formats.write_subwords(table, fh)
     _info(f"wrote {len(table)} subwords to {args.out}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
     config = TrainConfig(**{setting.name: getattr(args, setting.name) for setting in fields(TrainConfig)})
-    table = _read_subwords(args.subwords)
+    table = _read(args.subwords, io_formats.read_subwords)
     if args.prob_eps is not None:
         table = replace(table, prob_eps=args.prob_eps)
-    with open(args.target, encoding="utf-8") as fh:
-        try:
-            targets = io_formats.read_embeddings(fh)
-        except io_formats.FormatError as exc:
-            raise io_formats.FormatError(
-                f"{args.target}: {exc}; training stopped before epoch 1"
-            ) from None
+    targets = _read(args.target, io_formats.read_embeddings)
     if targets.duplicates_skipped:
         _info(f"skipped {targets.duplicates_skipped} duplicate target tokens")
     model = train(
@@ -183,19 +170,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = PbosModel.load(args.model)
-    if args.words is None:
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.words, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    words = list(dict.fromkeys(w.strip() for w in lines if w.strip()))
+    text = sys.stdin.read() if args.words is None else _read(args.words, lambda fh: fh.read())
+    words = list(dict.fromkeys(w.strip() for w in text.splitlines() if w.strip()))
     if not words:
         raise ValueError("empty query word list")
     composed = zip(words, model.compose_many(words))
     if args.out is None:
         io_formats.write_embeddings(composed, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with io_formats.replaced(args.out) as fh:
             io_formats.write_embeddings(composed, fh)
     _info(f"composed {len(words)} vectors")
     return EXIT_OK
@@ -204,7 +187,7 @@ def _cmd_predict(args) -> int:
 def _cmd_segment(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m must be at least 1, got {args.m}")
-    table = _read_subwords(args.subwords)
+    table = _read(args.subwords, io_formats.read_subwords)
     for word in args.words:
         segmentations = lattice.top_k_segmentations(word, table, args.k)
         weights = lattice.subword_weights(word, table)
@@ -219,8 +202,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_eval_ws(args) -> int:
     model = PbosModel.load(args.model)
-    with open(args.pairs, encoding="utf-8") as fh:
-        pairs, skipped = io_formats.read_similarity_pairs(fh)
+    pairs, skipped = _read(args.pairs, io_formats.read_similarity_pairs)
     if not pairs:
         raise ValueError(f"no usable pairs in {args.pairs}")
     rho = word_similarity(model, pairs, norm_floor=args.norm_floor)
@@ -232,13 +214,11 @@ def _cmd_eval_ws(args) -> int:
 
 
 def _cmd_eval_affix(args) -> int:
-    table = _read_subwords(args.subwords)
-    with open(args.inventory, encoding="utf-8") as fh:
-        inventory, bad_inventory = io_formats.read_affix_inventory(fh)
+    table = _read(args.subwords, io_formats.read_subwords)
+    inventory, bad_inventory = _read(args.inventory, io_formats.read_affix_inventory)
     if not inventory:
         raise ValueError(f"no usable affixes in {args.inventory}")
-    with open(args.data, encoding="utf-8") as fh:
-        instances, bad_instances = io_formats.read_affix_instances(fh, inventory)
+    instances, bad_instances = _read(args.data, lambda fh: io_formats.read_affix_instances(fh, inventory))
     kept = filter_affix_dataset(instances, inventory)
     if not kept:
         raise ValueError("no instances remain after filtering")

@@ -59,19 +59,18 @@ A model directory stores each subword once:
 
 Floats are stored exactly, so a loaded model composes bit for bit the
 vectors the saved one did, and saving it again writes the same bytes.
+``save`` replaces each of the four files whole (:func:`io_formats.replaced`).
 ``load`` memory-maps ``vectors.npy`` read-only, checks every file (no more
-matrix rows than subwords, finite values, no subword listed twice,
-probabilities in range), leaves the values in ``config.json`` to the
-checks of :class:`TrainConfig` and :class:`SubwordTable`, and names the
-file in every error it raises.
+matrix rows than subwords, finite values, no subword listed twice),
+leaves the values in ``config.json`` and the probabilities to the checks
+of :class:`TrainConfig` and :class:`SubwordTable`, and names the file in
+every error it raises.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -84,7 +83,7 @@ import numpy as np
 from scipy import sparse
 
 from . import lattice
-from .io_formats import FormatError, TargetEmbeddings
+from .io_formats import TargetEmbeddings, naming, replaced
 from .subword_stats import SubwordTable
 
 # Reserved boundary markers, assumed absent from the data alphabet.
@@ -311,17 +310,6 @@ def _weighted_sum(weights: np.ndarray, gathered: np.ndarray, normalize: bool) ->
     return weights @ gathered
 
 
-@contextlib.contextmanager
-def _naming(path: Path) -> Iterator[Path]:
-    """Yield ``path``; re-raise the errors of reading it as a :class:`FormatError` naming it."""
-    try:
-        yield path
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """A JSON object that holds no key twice."""
     if len({key for key, _ in pairs}) != len(pairs):
@@ -399,33 +387,32 @@ class PbosModel:
         }
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        (path / MODEL_CONFIG_FILE).write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
-        (path / MODEL_SUBWORDS_FILE).write_bytes(text.encode("utf-8"))
-        np.save(path / MODEL_PROBS_FILE, values, allow_pickle=False)
-        # A loaded model maps vectors.npy.  Replacing the file keeps such a
-        # mapping valid (it holds the old file); rewriting it in place
-        # would truncate the pages under it.
-        partial = path / (MODEL_MATRIX_FILE + ".partial")
-        with open(partial, "wb") as fh:
+        with replaced(path / MODEL_CONFIG_FILE) as fh:
+            fh.write(json.dumps(document, indent=1) + "\n")
+        with replaced(path / MODEL_SUBWORDS_FILE, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        with replaced(path / MODEL_PROBS_FILE, "wb") as fh:
+            np.save(fh, values, allow_pickle=False)
+        with replaced(path / MODEL_MATRIX_FILE, "wb") as fh:
             np.save(fh, self.embeddings.matrix, allow_pickle=False)
-        os.replace(partial, path / MODEL_MATRIX_FILE)
 
     @classmethod
     def load(cls, directory: str | Path) -> "PbosModel":
         """Read a directory written by :meth:`save`, checked as the module
         docstring says."""
         path = Path(directory)
-        with _naming(path / MODEL_CONFIG_FILE) as config_path:
+        with naming(path / MODEL_CONFIG_FILE) as config_path:
             document = json.loads(config_path.read_bytes(), object_pairs_hook=_unique_keys)
             config = TrainConfig(**document["train"])
+            SubwordTable({}, **document["table"])  # the table checks its fields
             loss_trace = document["loss_trace"]
             if not isinstance(loss_trace, list) or any(type(value) is not float for value in loss_trace):
                 raise ValueError(f"loss_trace must be a list of floats, got {loss_trace!r}")
-        with _naming(path / MODEL_SUBWORDS_FILE) as subwords_path:
+        with naming(path / MODEL_SUBWORDS_FILE) as subwords_path:
             subwords = subwords_path.read_bytes().decode("utf-8").split("\n")
             if subwords.pop():
                 raise ValueError("the last line does not end in a newline")
-        with _naming(path / MODEL_MATRIX_FILE) as matrix_path:
+        with naming(path / MODEL_MATRIX_FILE) as matrix_path:
             # np.asarray drops the np.memmap subclass, whose per-operation
             # overhead compose would pay, and keeps the mapping alive
             matrix = np.asarray(np.load(matrix_path, mmap_mode="r", allow_pickle=False))
@@ -441,31 +428,24 @@ class PbosModel:
             if not finite.all():
                 row = int(np.argmin(finite))
                 raise ValueError(f"row {row + 1} ({subwords[row]!r}) has a non-finite component")
-        with _naming(path / MODEL_PROBS_FILE) as probs_path:
+        with naming(path / MODEL_PROBS_FILE) as probs_path:
             probs = np.load(probs_path, allow_pickle=False)
             if probs.dtype != np.float64 or probs.shape != (len(subwords),):
                 raise ValueError(
                     f"expected {len(subwords)} float64 values, got {probs.shape} of {probs.dtype}"
                 )
-            valid = (probs > 0.0) & (probs <= 1.0)
-            valid[:rows] |= probs[:rows] == 0.0
-            if not valid.all():
-                bad = int(np.argmin(valid))
-                raise ValueError(
-                    f"{subwords[bad]!r} has probability {float(probs[bad])!r}; it must be in "
-                    f"(0, 1], or 0.0 (no table entry) for a subword with a vector"
-                )
-        with _naming(subwords_path):
+        with naming(subwords_path):
             embeddings = SubwordEmbeddings(matrix.shape[1], matrix=matrix, subwords=subwords[:rows])
+            listed = probs != 0.0  # 0.0: a vector subword without a table entry
+            listed[rows:] = True
+            entries = dict(zip(compress(subwords, listed), probs[listed].tolist()))
             # the vector subwords are unique; a table-only one may repeat
             # neither one of them nor another table-only one
-            positive = probs > 0.0
-            entries = dict(zip(compress(subwords, positive), probs[positive].tolist()))
-            if len(entries) != np.count_nonzero(positive) or any(
+            if len(entries) != np.count_nonzero(listed) or any(
                 subword in embeddings.index for subword in islice(subwords, rows, None)
             ):
                 raise ValueError(f"subword {_duplicate(subwords)!r} is listed twice")
-        with _naming(config_path):
+        with naming(probs_path):
             table = SubwordTable(entries, **document["table"])
         return cls(table=table, embeddings=embeddings, config=config, loss_trace=loss_trace)
 
@@ -492,9 +472,9 @@ def train(
     Composition weights depend only on the frozen table, so the weight
     matrix ``W`` of the targets is built once up front; its columns, in
     first-seen order, are the rows of the trained matrix.  Each word's
-    rows, weights, target and step scale are sliced out of ``W`` once,
-    before the first epoch, and the trained matrix is handed to the model
-    (which marks it read-only) only after the last.
+    step scale is computed once, before the first epoch; its rows and
+    weights are sliced out of ``W`` at each visit.  The trained matrix is
+    handed to the model (which marks it read-only) only after the last.
     """
     if not targets.entries:
         raise ValueError("empty target vocabulary")
@@ -510,12 +490,8 @@ def train(
     w_matrix = weight_matrix(targets.entries, table, config, subword_rows, extend=True)
     bounds = w_matrix.indptr.tolist()
     indices, data = w_matrix.indices, w_matrix.data
-    # per word: (rows, weights as a column, target, step scale)
-    visits = []
-    for lo, hi, goal in zip(bounds, bounds[1:], goals):
-        weights = data[lo:hi]
-        scale = 1.0 / max(1.0, float(weights @ weights))
-        visits.append((indices[lo:hi], weights[:, None], goal, scale))
+    word_weights = (data[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    scales = [1.0 / max(1.0, float(weights @ weights)) for weights in word_weights]
 
     matrix = np.zeros((len(subword_rows), dim))
     rng = np.random.default_rng(config.seed)
@@ -525,13 +501,14 @@ def train(
         lr = config.learning_rate(epoch)
         order = rng.permutation(len(goals))
         squared_sum = 0.0
-        for index in order:
-            rows, column, goal, scale = visits[index]
+        for index in order.tolist():
+            lo, hi = bounds[index], bounds[index + 1]
+            rows, weights = indices[lo:hi], data[lo:hi]
             gathered = matrix.take(rows, axis=0)
-            residual = _weighted_sum(column[:, 0], gathered, normalize)
-            residual -= goal
+            residual = _weighted_sum(weights, gathered, normalize)
+            residual -= goals[index]
             squared_sum += float(residual @ residual)
-            gathered -= (lr * scale) * column * residual
+            gathered -= (lr * scales[index]) * weights[:, None] * residual
             matrix[rows] = gathered
         trace.append(squared_sum / len(goals))
         if not math.isfinite(trace[-1]):

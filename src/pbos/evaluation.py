@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import lattice
 from .subword_stats import SubwordTable
@@ -58,6 +57,7 @@ class AffixInstance:
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Spearman rank correlation with average ranks for ties."""
+    from scipy.stats import rankdata  # imported here: it slows every command's start-up
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 1 or ys.ndim != 1 or xs.shape != ys.shape:

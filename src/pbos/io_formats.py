@@ -14,12 +14,17 @@ Frequency and benchmark readers skip malformed lines and count them.
 Embedding and subword files abort with :class:`FormatError` on a
 structural problem or a value no model can use: a non-finite vector
 component, or a probability outside (0, 1].
+
+Two helpers hold the file policy: :func:`naming` makes an error in reading
+a file name it, and :func:`replaced` writes a file whole or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from collections.abc import Iterable, Mapping
+import os
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import IO
 
@@ -31,6 +36,40 @@ from .subword_stats import SubwordTable
 
 class FormatError(ValueError):
     """Structural problem in an input file."""
+
+
+@contextlib.contextmanager
+def naming(path: str | os.PathLike) -> Iterator[str | os.PathLike]:
+    """Yield ``path``; re-raise the errors of reading it as a :class:`FormatError` naming it."""
+    try:
+        yield path
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def replaced(path: str | os.PathLike, mode: str = "w") -> Iterator[IO]:
+    """Yield ``<path>.partial`` opened with ``mode`` (text is UTF-8), and
+    ``os.replace`` it over ``path``, or a symlink's target, if the block
+    succeeds; else delete it.  Replacing keeps a map of the old file valid
+    (``load`` maps ``vectors.npy``).  A pipe or a device such as
+    ``/dev/stdout`` has no old bytes to keep, and is written in place."""
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    partial = f"{path}.partial"
+    try:
+        with open(partial, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
 
 
 @dataclass
@@ -248,7 +287,8 @@ def _parse_int(text: str, number: int) -> int:
 
 def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:
     """Parse ``word1<TAB>word2<TAB>score`` lines; ``#`` comments and blank
-    lines are skipped, malformed lines skipped and counted."""
+    lines are skipped, malformed lines and non-finite scores skipped and
+    counted."""
     pairs: list[SimilarityPair] = []
     skipped = 0
     for raw in stream:
@@ -262,6 +302,8 @@ def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:
         try:
             score = float(fields[2])
         except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
             skipped += 1
             continue
         pairs.append(SimilarityPair(word1=fields[0], word2=fields[1], human_score=score))

@@ -1,5 +1,11 @@
 import argparse
+import os
+import stat
+import subprocess
+import sys
+import threading
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +197,112 @@ def test_build_subwords_leaves_no_partial_table(tmp_path, capsys, earlier):
     else:
         assert out.read_text(encoding="utf-8") == earlier
     assert [path.name for path in tmp_path.iterdir() if path != out] == ["freqs.csv"]
+
+
+def _save_model(directory):
+    PbosModel(
+        table=SubwordTable({"a": 0.5, "b": 0.5}),
+        embeddings=SubwordEmbeddings(
+            dim=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        ),
+        config=TrainConfig(),
+    ).save(directory)
+    return str(directory)
+
+
+def test_predict_leaves_an_existing_out_file_as_it_was_when_it_fails(tmp_path, capsys):
+    model = _save_model(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    out = tmp_path / "vectors.txt"
+    words.write_text("ab\n", encoding="utf-8")
+    assert cli.main(["predict", "--model", model, "--words", str(words), "--out", str(out)]) == cli.EXIT_OK
+    written = out.read_bytes()
+    assert written == b"1 2\nab 0.5 0.5\n"
+    words.write_text("ab\na b\n", encoding="utf-8")  # "a b" cannot be a token
+    code = cli.main(["predict", "--model", model, "--words", str(words), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert "'a b'" in capsys.readouterr().err
+    assert out.read_bytes() == written
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["model", "vectors.txt", "words.txt"]
+
+
+def test_predict_out_through_a_symlink_replaces_its_target(tmp_path):
+    model = _save_model(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    words.write_text("ab\n", encoding="utf-8")
+    target = tmp_path / "vectors.txt"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    code = cli.main(["predict", "--model", model, "--words", str(words), "--out", str(link)])
+    assert code == cli.EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == b"1 2\nab 0.5 0.5\n"
+
+
+def test_predict_out_to_a_pipe_writes_into_it(tmp_path):
+    model = _save_model(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    words.write_text("ab\n", encoding="utf-8")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = cli.main(["predict", "--model", model, "--words", str(words), "--out", str(fifo)])
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == cli.EXIT_OK
+    assert received == [b"1 2\nab 0.5 0.5\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.parametrize("command", ["segment", "train", "eval-affix"])
+def test_a_malformed_subwords_file_is_named_with_its_line(tmp_path, capsys, command):
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t0.5\nb 0.5\n", encoding="utf-8")
+    target = tmp_path / "target.txt"
+    target.write_text("1 2\nab 1.0 -1.0\n", encoding="utf-8")
+    data = tmp_path / "data.txt"
+    data.write_text("rebaked\tre\n", encoding="utf-8")
+    inventory = tmp_path / "inventory.txt"
+    inventory.write_text("re\tprefix\ned\tsuffix\n", encoding="utf-8")
+    argv = {
+        "segment": ["ab"],
+        "train": ["--target", str(target), "--out", str(tmp_path / "model")],
+        "eval-affix": ["--data", str(data), "--inventory", str(inventory)],
+    }[command]
+    code = cli.main([command, "--subwords", str(subwords), *argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert f"{subwords}: line 2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["predict", "build-subwords"])
+def test_a_non_utf8_input_file_is_named(tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("café,3\n".encode("latin-1"))
+    out = tmp_path / "out.txt"
+    if command == "predict":
+        argv = ["--model", _save_model(tmp_path / "model"), "--words", str(latin1)]
+    else:
+        argv = ["--freqs", str(latin1)]
+    code = cli.main([command, *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert str(latin1) in captured.err
+    assert not out.exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, pbos.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_segment_exits_2_on_a_k_above_the_bound(tmp_path, capsys):

@@ -246,6 +246,13 @@ def test_read_similarity_pairs_skips_comments_and_counts_malformed():
     assert skipped == 2
 
 
+def test_read_similarity_pairs_skips_and_counts_non_finite_scores():
+    stream = io.StringIO("a\tb\tnan\nc\td\tinf\ne\tf\t-inf\ng\th\t2.5\n")
+    pairs, skipped = read_similarity_pairs(stream)
+    assert [(pair.word1, pair.human_score) for pair in pairs] == [("g", 2.5)]
+    assert skipped == 3
+
+
 def test_read_affix_inventory():
     stream = io.StringIO("re\tprefix\nable\tsuffix\nbad\tneither\nre\tsuffix\n")
     inventory, skipped = read_affix_inventory(stream)
