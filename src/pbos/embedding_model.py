@@ -59,7 +59,8 @@ A model directory stores each subword once:
 
 Floats are stored exactly, so a loaded model composes bit for bit the
 vectors the saved one did, and saving it again writes the same bytes.
-``save`` replaces each of the four files whole (:func:`io_formats.replaced`).
+``save`` writes four partial files (:func:`io_formats.replaced`), then
+replaces the four model files together, ``config.json`` last.
 ``load`` memory-maps ``vectors.npy`` read-only, checks every file (no more
 matrix rows than subwords, finite values, no subword listed twice),
 leaves the values in ``config.json`` and the probabilities to the checks
@@ -80,7 +81,6 @@ from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import lattice
 from .io_formats import TargetEmbeddings, naming, replaced
@@ -275,7 +275,7 @@ def weight_matrix(
     columns: dict[str, int],
     *,
     extend: bool = False,
-) -> sparse.csr_array:
+) -> "scipy.sparse.csr_array":
     """The CSR word x subword weight matrix ``W`` of ``words``.
 
     Row i holds the composition weights of the i-th word, in the order
@@ -285,6 +285,7 @@ def weight_matrix(
     subwords not in ``columns`` are dropped.  ``W`` has ``len(columns)``
     columns.
     """
+    from scipy import sparse  # imported here: it slows every command's start-up
     indptr, indices, data = array("q", [0]), array("q"), array("d")
     for word in words:
         rows, weights = _rows_and_weights(word, table, config, columns, extend)
@@ -387,14 +388,16 @@ class PbosModel:
         }
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        with replaced(path / MODEL_CONFIG_FILE) as fh:
-            fh.write(json.dumps(document, indent=1) + "\n")
-        with replaced(path / MODEL_SUBWORDS_FILE, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-        with replaced(path / MODEL_PROBS_FILE, "wb") as fh:
-            np.save(fh, values, allow_pickle=False)
-        with replaced(path / MODEL_MATRIX_FILE, "wb") as fh:
-            np.save(fh, self.embeddings.matrix, allow_pickle=False)
+        with (
+            replaced(path / MODEL_CONFIG_FILE) as config_fh,
+            replaced(path / MODEL_SUBWORDS_FILE, "wb") as subwords_fh,
+            replaced(path / MODEL_PROBS_FILE, "wb") as probs_fh,
+            replaced(path / MODEL_MATRIX_FILE, "wb") as matrix_fh,
+        ):
+            config_fh.write(json.dumps(document, indent=1) + "\n")
+            subwords_fh.write(text.encode("utf-8"))
+            np.save(probs_fh, values, allow_pickle=False)
+            np.save(matrix_fh, self.embeddings.matrix, allow_pickle=False)
 
     @classmethod
     def load(cls, directory: str | Path) -> "PbosModel":

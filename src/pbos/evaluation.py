@@ -5,14 +5,16 @@ similarity judgments and cosine similarities of composed vectors, with a
 zero score for pairs where either vector is numerically negligible.
 Affix prediction reads the most eminent affix of a word off the subword
 weights, against a seeded random baseline, reported as macro
-precision/recall/F1.
+precision/recall/F1 counted in one pass over the instances.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import Hashable
 
 import numpy as np
@@ -43,10 +45,6 @@ class Affix:
             raise ValueError("empty affix text")
         if self.kind not in ("prefix", "suffix"):
             raise ValueError(f"affix kind must be prefix or suffix, got {self.kind!r}")
-
-    @property
-    def label(self) -> str:
-        return f"{self.text}-" if self.kind == "prefix" else f"-{self.text}"
 
 
 @dataclass(frozen=True)
@@ -175,23 +173,19 @@ def macro_prf(
     """
     if len(golds) != len(predictions):
         raise ValueError("golds and predictions differ in length")
-    precisions = []
-    recalls = []
-    f1s = []
+    hits = Counter(g for g, p in zip(golds, predictions) if g == p)
+    gold_counts, predicted_counts = Counter(golds), Counter(predictions)
+    scores = []
     for label in labels:
-        tp = sum(1 for g, p in zip(golds, predictions) if p == label and g == label)
-        fp = sum(1 for g, p in zip(golds, predictions) if p == label and g != label)
-        fn = sum(1 for g, p in zip(golds, predictions) if g == label and p != label)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
+        tp = hits[label]
+        precision = tp / predicted_counts[label] if predicted_counts[label] else 0.0
+        recall = tp / gold_counts[label] if gold_counts[label] else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        precisions.append(precision)
-        recalls.append(recall)
-        f1s.append(f1)
-    count = len(f1s)
-    if count == 0:
+        scores.append((precision, recall, f1))
+    if not scores:
         raise ValueError("empty label set")
-    return (sum(precisions) / count, sum(recalls) / count, sum(f1s) / count)
+    precision, recall, f1 = (sum(column) / len(scores) for column in zip(*scores))
+    return precision, recall, f1
 
 
 def evaluate_affix_dataset(
@@ -201,19 +195,15 @@ def evaluate_affix_dataset(
     table: SubwordTable | None = None,
     seed: int = 0,
 ) -> tuple[float, float, float]:
-    """Run a predictor over a (filtered) dataset and macro-score it."""
-    golds: list[Affix] = []
-    predictions: list[Affix] = []
-    rng = random.Random(seed)
-    for instance in instances:
-        if predictor == "pbos":
-            if table is None:
-                raise ValueError("the pbos predictor needs a subword table")
-            predicted = affix_predict_pbos(table, instance.word, inventory)
-        elif predictor == "random":
-            predicted = affix_predict_random(instance.word, inventory, rng)
-        else:
-            raise ValueError(f"unknown predictor {predictor!r}")
-        golds.append(instance.gold)
-        predictions.append(predicted)
-    return macro_prf(golds, predictions, list(inventory))
+    """Run a predictor over a (filtered) dataset and macro-score it; the
+    predictor and the pbos table are checked before any instance is scored."""
+    if predictor == "pbos":
+        if table is None:
+            raise ValueError("the pbos predictor needs a subword table")
+        predict = partial(affix_predict_pbos, table, inventory=inventory)
+    elif predictor == "random":
+        predict = partial(affix_predict_random, inventory=inventory, rng=random.Random(seed))
+    else:
+        raise ValueError(f"unknown predictor {predictor!r}")
+    predictions = [predict(instance.word) for instance in instances]
+    return macro_prf([instance.gold for instance in instances], predictions, list(inventory))

@@ -13,7 +13,8 @@ in binary, exactly (see :mod:`pbos.embedding_model`).
 Frequency and benchmark readers skip malformed lines and count them.
 Embedding and subword files abort with :class:`FormatError` on a
 structural problem or a value no model can use: a non-finite vector
-component, or a probability outside (0, 1].
+component, or a probability outside (0, 1].  A subword file also rejects
+a repeated subword or header line.
 
 Two helpers hold the file policy: :func:`naming` makes an error in reading
 a file name it, and :func:`replaced` writes a file whole or not at all.
@@ -236,9 +237,9 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
     """Parse a file written by :func:`write_subwords`; an absent header
     takes the :class:`SubwordTable` default.
 
-    A probability outside (0, 1] (nan and inf included), or a header
-    value that is malformed or that :class:`SubwordTable` rejects, raises
-    :class:`FormatError` naming the line.
+    A probability outside (0, 1] (nan and inf included), a header value
+    that is malformed or that :class:`SubwordTable` rejects, or a subword
+    or header listed twice raises :class:`FormatError` naming the line.
     """
     header: dict[str, float | int | None] = {}
     probs: dict[str, float] = {}
@@ -248,6 +249,8 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
             continue
         if line.startswith("#") and line.startswith(_HEADERS):
             key, _, value = line[2:].partition("\t")
+            if key in header:
+                raise FormatError(f"line {number}: repeated header {key!r}")
             if key == "max_len":
                 header[key] = None if value == "none" else _parse_int(value, number)
             else:
@@ -265,7 +268,9 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
             raise FormatError(
                 f"line {number}: probability of {subword!r} must be in (0, 1], got {value!r}"
             )
-        probs[subword] = prob
+        # prob is a new float object, so only a new subword stores and returns it
+        if probs.setdefault(subword, prob) is not prob:
+            raise FormatError(f"line {number}: repeated subword {subword!r}")
     if not probs:
         raise FormatError("subword file contains no subwords")
     return SubwordTable(probs, **header)

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbos import cli
+from pbos import cli, io_formats
 from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig, Variant
+from pbos.evaluation import evaluate_affix_dataset, filter_affix_dataset, word_similarity
 from pbos.lattice import MAX_TOP_K
-from pbos.subword_stats import SubwordTable
+from pbos.subword_stats import SubwordTable, build_table
 
 
 def test_segment_exits_2_on_a_nan_probability(tmp_path, capsys):
@@ -295,11 +296,12 @@ def test_a_non_utf8_input_file_is_named(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse"])
+def test_importing_the_cli_leaves_scipy_stats_unloaded(module):
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, pbos.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, pbos.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert result.stdout == "False\n"
@@ -334,3 +336,110 @@ def test_segment_prints_the_top_segmentations_and_subword_weights(tmp_path, caps
     assert capsys.readouterr().out == (
         "abab\tab/ab (0.392), a/b/ab (0.176)\tab (0.423), a (0.256), b (0.256), ba (0.066)\n"
     )
+
+
+def test_an_unknown_flag_exits_1(capsys):
+    assert cli.main(["segment", "--subwords", "subwords.tsv", "--bogus", "ab"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --bogus" in captured.err
+    assert captured.out == ""
+
+
+def test_build_subwords_lowercase_merges_case_variants_and_counts_malformed_lines(tmp_path, capsys):
+    freqs = tmp_path / "freqs.csv"
+    freqs.write_text("Ab,3\nab,2\nAB,1\nno count here\nba\t4\n", encoding="utf-8")
+    out = tmp_path / "subwords.tsv"
+    code = cli.main(["build-subwords", "--freqs", str(freqs), "--lowercase", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert "skipped 1 malformed frequency lines" in captured.err
+    expected = build_table({"ab": 6, "ba": 4})
+    assert f"wrote {len(expected)} subwords to {out}" in captured.err
+    with open(out, encoding="utf-8") as fh:
+        assert io_formats.read_subwords(fh) == expected
+
+
+def test_train_reports_skipped_duplicate_targets(tmp_path, capsys):
+    argv = _train_inputs(tmp_path)
+    (tmp_path / "target.txt").write_text("3 2\nab 1.0 -1.0\nba 0.5 0.5\nab 2.0 2.0\n", encoding="utf-8")
+    code = cli.main([*argv, "--epochs", "2", "--out", str(tmp_path / "model")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert "skipped 1 duplicate target tokens" in captured.err
+    assert [line.split("\t")[0] for line in captured.out.splitlines()] == ["1", "2"]
+
+
+def test_predict_to_stdout_writes_what_out_writes(tmp_path, capsys):
+    model = _save_model(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    words.write_text("ab\nba\n\n ab \nb\n", encoding="utf-8")
+    assert cli.main(["predict", "--model", model, "--words", str(words)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "vectors.txt"
+    assert cli.main(["predict", "--model", model, "--words", str(words), "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == printed.encode("utf-8")
+    assert printed.startswith("3 2\nab ")
+
+
+def test_predict_exits_2_on_no_query_words(tmp_path, capsys):
+    model = _save_model(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    words.write_text("\n  \n", encoding="utf-8")
+    out = tmp_path / "vectors.txt"
+    code = cli.main(["predict", "--model", model, "--words", str(words), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert "empty query word list" in captured.err
+    assert not out.exists()
+
+
+def test_eval_ws_prints_the_pairs_skipped_lines_and_spearman(tmp_path, capsys):
+    model = _save_model(tmp_path / "model")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("A\tb\t1.0\na\tab\t5.0\nb\tab\t4.0\naab\tb\t6.0\nnot a pair\n", encoding="utf-8")
+    assert cli.main(["eval-ws", "--model", model, "--pairs", str(pairs)]) == cli.EXIT_OK
+    with open(pairs, encoding="utf-8") as fh:
+        read, skipped = io_formats.read_similarity_pairs(fh)
+    rho = word_similarity(PbosModel.load(model), read)
+    assert (len(read), skipped) == (4, 1)
+    assert capsys.readouterr().out == f"pairs\t4\nskipped_lines\t1\nspearman\t{rho:.6f}\n"
+
+
+def _affix_inputs(tmp_path):
+    subwords = tmp_path / "subwords.tsv"
+    with open(subwords, "w", encoding="utf-8") as fh:
+        io_formats.write_subwords(build_table({"grave": 50, "able": 80, "re": 40, "un": 40, "ly": 60, "kind": 30}), fh)
+    inventory = tmp_path / "inventory.txt"
+    inventory.write_text("re\tprefix\nun\tprefix\nable\tsuffix\nness\tsuffix\nly\tsuffix\n", encoding="utf-8")
+    data = tmp_path / "data.txt"
+    data.write_text(
+        "regravely\tre\nungraveable\table\nunkindness\tness\nunkindly\tun\nreable\tre\n"
+        "kindly\tly\nmystery\tunknown\n",
+        encoding="utf-8",
+    )
+    return subwords, inventory, data
+
+
+@pytest.mark.parametrize("predictor", ["pbos", "random"])
+def test_eval_affix_prints_the_counts_and_scores(tmp_path, capsys, predictor):
+    subwords, inventory, data = _affix_inputs(tmp_path)
+    code = cli.main([
+        "eval-affix", "--subwords", str(subwords), "--inventory", str(inventory),
+        "--data", str(data), "--predictor", predictor, "--seed", "3",
+    ])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    with open(subwords, encoding="utf-8") as fh:
+        table = io_formats.read_subwords(fh)
+    with open(inventory, encoding="utf-8") as fh:
+        affixes, _ = io_formats.read_affix_inventory(fh)
+    with open(data, encoding="utf-8") as fh:
+        instances, _ = io_formats.read_affix_instances(fh, affixes)
+    kept = filter_affix_dataset(instances, affixes)
+    assert len(kept) == 5  # "kindly" admits only -ly
+    precision, recall, f1 = evaluate_affix_dataset(kept, affixes, predictor=predictor, table=table, seed=3)
+    assert captured.out == (
+        f"instances\t5\nfiltered_out\t1\nprecision\t{precision:.6f}\n"
+        f"recall\t{recall:.6f}\nf1\t{f1:.6f}\n"
+    )
+    assert "(1 filtered, 1 lines skipped)" in captured.err

@@ -697,6 +697,19 @@ def test_saving_over_the_loaded_directory_keeps_the_loaded_model(tmp_path):
     assert np.array_equal(PbosModel.load(tmp_path).compose("a"), [1.0, 2.0])
 
 
+def test_a_failed_save_leaves_the_earlier_model_whole(tmp_path):
+    make_model(SubwordTable({"a": 0.5}), vectors={"a": np.array([1.0, 0.0])}).save(tmp_path)
+    (tmp_path / "vectors.npy.partial").mkdir()
+    with pytest.raises(IsADirectoryError):
+        make_model(SubwordTable({"a": 0.25}), vectors={"a": np.array([5.0, 5.0])}).save(tmp_path)
+    loaded = PbosModel.load(tmp_path)
+    assert loaded.table.probs == {"a": 0.5}
+    assert np.array_equal(loaded.compose("a"), [1.0, 0.0])
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "config.json", "probs.npy", "subwords.txt", "vectors.npy", "vectors.npy.partial",
+    ]
+
+
 def test_vectors_view_is_read_only():
     model = make_model(SubwordTable({"a": 1.0}), vectors={"a": np.array([1.0, 2.0])})
     view = model.embeddings.vectors

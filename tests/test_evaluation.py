@@ -270,6 +270,33 @@ def test_macro_prf_length_mismatch():
         macro_prf(["A"], ["A", "B"], ["A", "B"])
 
 
+def _macro_prf_by_scans(golds, predictions, labels):
+    """Reference: each label's tp, fp and fn counted by a scan of the pairs."""
+    precisions, recalls, f1s = [], [], []
+    for label in labels:
+        tp = sum(1 for g, p in zip(golds, predictions) if p == label and g == label)
+        fp = sum(1 for g, p in zip(golds, predictions) if p == label and g != label)
+        fn = sum(1 for g, p in zip(golds, predictions) if g == label and p != label)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        precisions.append(precision)
+        recalls.append(recall)
+        f1s.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
+    count = len(f1s)
+    return (sum(precisions) / count, sum(recalls) / count, sum(f1s) / count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("ABCD"), st.sampled_from("ABCDE")), max_size=40),
+    st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=8),
+)
+def test_macro_prf_equals_a_per_label_scan_bit_for_bit(pairs, labels):
+    golds = [gold for gold, _ in pairs]
+    predictions = [predicted for _, predicted in pairs]
+    assert macro_prf(golds, predictions, labels) == _macro_prf_by_scans(golds, predictions, labels)
+
+
 # --- dataset runner ----------------------------------------------------------------
 
 def test_evaluate_affix_dataset_runs_both_predictors():
@@ -286,3 +313,12 @@ def test_evaluate_affix_dataset_runs_both_predictors():
         evaluate_affix_dataset(instances, INVENTORY, predictor="pbos", table=None)
     with pytest.raises(ValueError):
         evaluate_affix_dataset(instances, INVENTORY, predictor="nope")
+
+
+@pytest.mark.parametrize("predictor, table", [
+    ("nope", build_table({"re": 1})),
+    ("pbos", None),
+])
+def test_evaluate_affix_dataset_checks_its_predictor_with_no_instances(predictor, table):
+    with pytest.raises(ValueError):
+        evaluate_affix_dataset([], INVENTORY, predictor=predictor, table=table)

@@ -233,6 +233,15 @@ def test_read_subwords_rejects_a_bad_total_mass_by_line(value):
 def test_read_subwords_accepts_probability_one():
     assert read_subwords(io.StringIO("a\t1.0\n")).probs == {"a": 1.0}
 
+
+@pytest.mark.parametrize("text, message", [
+    ("a\t0.5\nb\t0.5\na\t0.25\n", "line 3: repeated subword 'a'"),
+    ("# prob_eps\t0.01\na\t0.5\n# prob_eps\t0.02\n", "line 3: repeated header 'prob_eps'"),
+], ids=["subword", "header"])
+def test_read_subwords_rejects_a_repeated_line(text, message):
+    with pytest.raises(FormatError, match=message):
+        read_subwords(io.StringIO(text))
+
 # --- benchmark files -----------------------------------------------------------------
 
 def test_read_similarity_pairs_skips_comments_and_counts_malformed():
