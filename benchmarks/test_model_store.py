@@ -15,8 +15,8 @@ the repository root with::
 each round, so every call runs the lattice (cold, as a first occurrence);
 ``test_compose_repeat`` composes it again on a model that has composed it
 once, so every call is a lookup in the model's compose memo; and
-``test_compose_many`` composes it as one ``W @ matrix``.  Divide any of
-them by 200 for one word.
+``test_compose_many`` composes it as one batch, word by word on the
+lattice without the memo.  Divide any of them by 200 for one word.
 """
 
 import numpy as np

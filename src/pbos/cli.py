@@ -171,7 +171,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = PbosModel.load(args.model)
     text = sys.stdin.read() if args.words is None else _read(args.words, lambda fh: fh.read())
-    words = list(dict.fromkeys(w.strip() for w in text.splitlines() if w.strip()))
+    words = list(dict.fromkeys(w.strip() for w in text.split("\n") if w.strip()))
     if not words:
         raise ValueError("empty query word list")
     composed = zip(words, model.compose_many(words))

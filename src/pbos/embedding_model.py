@@ -24,17 +24,13 @@ All subword vectors live in one float64 matrix, one row per subword, with
 a subword-to-row index (:class:`SubwordEmbeddings`); training, composition,
 saving and loading share it.
 
-A word list composes through one sparse word x subword weight matrix ``W``
-(:func:`weight_matrix`, CSR): row i holds word i's composition weights
-over the columns of a subword-to-column index, so the composed words are
-``W @ matrix``.  ``train`` builds ``W`` over the targets, numbering the
-subwords in first-seen order, and walks its rows; ``gradient_check`` reads
-its weights from the same rows.  A model composes words in two ways:
-
-* :meth:`PbosModel.compose_many` - a batch, as ``W @ matrix`` over the
-  model's rows (``predict``, ``eval-ws`` and :func:`loss`);
-* :meth:`PbosModel.compose` - one word, from the same word -> (rows,
-  weights) step, without building ``W`` (a long-lived caller).
+A model composes a word one way: ``_weighted_sum`` of the matrix rows of
+its subwords that have a vector.  :meth:`PbosModel.compose` memoizes that
+vector, and :meth:`PbosModel.compose_many` stacks it for each word of a
+batch (``predict``, ``eval-ws``, :func:`loss`) without touching the memo.
+``train`` fits the targets through a CSR word x subword weight matrix
+``W`` (:func:`weight_matrix`), numbering its columns in first-seen order,
+and ``gradient_check`` reads its weights from the same rows.
 
 A word's vector is a pure function of its spelling and the model, so
 ``compose`` memoizes it in a dict field of the model, word -> vector,
@@ -134,6 +130,8 @@ class TrainConfig:
                 raise ValueError(f"{setting.name} must be of type {kind.__name__}, got {value!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 1 <= self.bos_min_len <= self.bos_max_len:
@@ -338,14 +336,7 @@ class PbosModel:
         memo = self._composed
         vector = memo.get(word)
         if vector is None:
-            rows, weights = _rows_and_weights(
-                word, self.table, self.config, self.embeddings.index, extend=False
-            )
-            vector = _weighted_sum(
-                np.array(weights, dtype=np.float64),
-                self.embeddings.matrix[rows],
-                normalize=self.config.variant is Variant.PBOS_N,
-            )
+            vector = self._compose(word)
             vector.flags.writeable = False
             memo[word] = vector
             while len(memo) * vector.nbytes > COMPOSE_MEMO_BYTES:
@@ -356,15 +347,16 @@ class PbosModel:
         return vector
 
     def compose_many(self, words: Iterable[str]) -> np.ndarray:
-        """Compose a batch as ``W @ matrix``: row i is ``compose`` of the
-        i-th word, up to rounding.  For pbos-n each weight is divided by
-        its row's norm (zero rows stay zero), as ``compose`` does."""
-        matrix = self.embeddings.matrix
-        weights = weight_matrix(words, self.table, self.config, self.embeddings.index)
-        if self.config.variant is Variant.PBOS_N:
-            norms = np.linalg.norm(matrix, axis=1)
-            weights.data /= np.where(norms > 0.0, norms, 1.0)[weights.indices]
-        return weights @ matrix
+        """Row i is ``compose`` of the i-th word, bit for bit; the memo is
+        neither read nor filled, so a batch evicts nothing from it."""
+        vectors = [self._compose(word) for word in words]
+        return np.array(vectors).reshape(len(vectors), self.embeddings.dim)
+
+    def _compose(self, word: str) -> np.ndarray:
+        """``word``'s vector, computed afresh."""
+        rows, weights = _rows_and_weights(word, self.table, self.config, self.embeddings.index, extend=False)
+        gathered = self.embeddings.matrix.take(rows, axis=0)
+        return _weighted_sum(np.array(weights), gathered, normalize=self.config.variant is Variant.PBOS_N)
 
     def save(self, directory: str | Path) -> None:
         """Write the model directory laid out in the module docstring.
@@ -572,10 +564,10 @@ def gradient_check(
         rows, weights = w_matrix.indices[lo:hi], w_matrix.data[lo:hi]
 
         def squared_error() -> float:
-            diff = weights @ matrix[rows] - target
+            diff = _weighted_sum(weights, matrix.take(rows, axis=0), normalize=False) - target
             return float(diff @ diff)
 
-        residual = weights @ matrix[rows] - target
+        residual = _weighted_sum(weights, matrix.take(rows, axis=0), normalize=False) - target
         coords = [
             (row, weight, col)
             for row, weight in zip(rows.tolist(), weights.tolist())

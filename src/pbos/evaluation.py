@@ -77,8 +77,11 @@ def word_similarity(
     """Spearman correlation of model cosine scores against human scores.
 
     Benchmark words are lowercased before composition.  A pair gets model
-    score 0 when either composed vector has L2 norm below ``norm_floor``.
+    score 0 when either composed vector has L2 norm below ``norm_floor``
+    (finite and >= 0).
     """
+    if not 0.0 <= norm_floor < np.inf:
+        raise ValueError(f"norm_floor must be finite and >= 0, got {norm_floor}")
     if not pairs:
         raise ValueError("no similarity pairs")
     # each distinct word is composed once, in one batch

@@ -227,6 +227,19 @@ def test_predict_leaves_an_existing_out_file_as_it_was_when_it_fails(tmp_path, c
     assert sorted(path.name for path in tmp_path.iterdir()) == ["model", "vectors.txt", "words.txt"]
 
 
+@pytest.mark.parametrize("line_break", ["\u2028", "\x85"])
+def test_predict_splits_query_words_at_newlines_only(tmp_path, capsys, line_break):
+    model = _save_model(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    out = tmp_path / "vectors.txt"
+    out.write_bytes(b"1 2\nab 0.5 0.5\n")
+    words.write_text(f"ab\nab{line_break}b\n", encoding="utf-8")
+    code = cli.main(["predict", "--model", model, "--words", str(words), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert repr(f"ab{line_break}b") in capsys.readouterr().err
+    assert out.read_bytes() == b"1 2\nab 0.5 0.5\n"
+
+
 def test_predict_out_through_a_symlink_replaces_its_target(tmp_path):
     model = _save_model(tmp_path / "model")
     words = tmp_path / "words.txt"
@@ -305,6 +318,19 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded(module):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert result.stdout == "False\n"
+
+
+def test_predict_leaves_scipy_sparse_unloaded(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    words = tmp_path / "words.txt"
+    words.write_text("ab\nba\n", encoding="utf-8")
+    argv = ["predict", "--model", _save_model(tmp_path / "model"), "--words", str(words), "--out", str(tmp_path / "out")]
+    program = "import sys; from pbos import cli; print(cli.main(sys.argv[1:]), 'scipy.sparse' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout == "0 False\n"
 
 
 def test_segment_exits_2_on_a_k_above_the_bound(tmp_path, capsys):
@@ -391,6 +417,25 @@ def test_predict_exits_2_on_no_query_words(tmp_path, capsys):
     assert code == cli.EXIT_DATA
     assert "empty query word list" in captured.err
     assert not out.exists()
+
+
+def test_train_checks_the_seed_before_reading_any_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    code = cli.main(["train", "--target", missing, "--subwords", missing, "--seed", "-1", "--out", missing])
+    assert code == cli.EXIT_DATA
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err  # not a file error
+
+
+@pytest.mark.parametrize("norm_floor", ["nan", "-1"])
+def test_eval_ws_exits_2_on_a_norm_floor_that_is_not_finite_and_at_least_0(tmp_path, capsys, norm_floor):
+    model = _save_model(tmp_path / "model")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("a\tb\t1.0\na\tab\t5.0\n", encoding="utf-8")
+    code = cli.main(["eval-ws", "--model", model, "--pairs", str(pairs), "--norm-floor", norm_floor])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert "norm_floor" in captured.err
+    assert captured.out == ""
 
 
 def test_eval_ws_prints_the_pairs_skipped_lines_and_spearman(tmp_path, capsys):
