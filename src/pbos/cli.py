@@ -153,6 +153,8 @@ def _cmd_build_subwords(args) -> int:
 
 def _cmd_train(args) -> int:
     config = TrainConfig(**{setting.name: getattr(args, setting.name) for setting in fields(TrainConfig)})
+    if args.prob_eps is not None:
+        SubwordTable({}, prob_eps=args.prob_eps)  # the table checks it before any file is read
     table = _read(args.subwords, io_formats.read_subwords)
     if args.prob_eps is not None:
         table = replace(table, prob_eps=args.prob_eps)

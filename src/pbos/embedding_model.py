@@ -28,8 +28,8 @@ A model composes a word one way: ``_weighted_sum`` of the matrix rows of
 its subwords that have a vector.  :meth:`PbosModel.compose` memoizes that
 vector, and :meth:`PbosModel.compose_many` stacks it for each word of a
 batch (``predict``, ``eval-ws``, :func:`loss`) without touching the memo.
-``train`` fits the targets through a CSR word x subword weight matrix
-``W`` (:func:`weight_matrix`), numbering its columns in first-seen order,
+``train`` fits the targets through the CSR arrays of the word x subword
+weight matrix ``W`` (:func:`weight_matrix`), columns in first-seen order,
 and ``gradient_check`` reads its weights from the same rows.
 
 A word's vector is a pure function of its spelling and the model, so
@@ -38,10 +38,10 @@ that holds at most ``COMPOSE_MEMO_BYTES`` of vectors and evicts the
 oldest entry first.  The dict holds no reference to its model, so a
 dropped model is freed at once.  No memoized vector goes stale, because
 nothing ``compose`` reads can change: :class:`PbosModel`,
-:class:`TrainConfig` and :class:`SubwordTable` are frozen,
-:class:`SubwordEmbeddings` marks its matrix read-only, and ``compose``
-returns read-only arrays.  The table's ``probs`` and the embeddings'
-``index`` are not to be edited in place.
+:class:`TrainConfig` and :class:`SubwordTable` are frozen, the table's
+``probs``, the embeddings' ``index`` and matrix and the arrays ``compose``
+returns are read-only.  The table wraps the dict it is given without a
+copy, so a caller that keeps that dict must not edit it.
 
 A model directory stores each subword once:
 
@@ -75,6 +75,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import compress, islice
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -161,8 +162,8 @@ class SubwordEmbeddings:
 
     Built either from a ``vectors`` mapping (copied into a new matrix) or
     from a ``matrix`` whose rows belong, in order, to ``subwords``, which
-    it keeps without copying and marks read-only, so vectors composed from
-    it cannot go stale.  Absent subwords compose as the zero vector.
+    it keeps without copying and marks read-only, like the subword-to-row
+    ``index``.  Absent subwords compose as the zero vector.
     """
 
     def __init__(
@@ -189,7 +190,8 @@ class SubwordEmbeddings:
         matrix.flags.writeable = False
         self.dim = dim
         self.matrix = matrix
-        self.index = index  # in row order
+        self.index: Mapping[str, int] = MappingProxyType(index)  # in row order
+        self._index = index  # compose's lookups: a dict's get beats the view's
 
     @property
     def vectors(self) -> Mapping[str, np.ndarray]:
@@ -273,8 +275,9 @@ def weight_matrix(
     columns: dict[str, int],
     *,
     extend: bool = False,
-) -> "scipy.sparse.csr_array":
-    """The CSR word x subword weight matrix ``W`` of ``words``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays ``(indptr, indices, data)`` of the word x subword
+    weight matrix ``W`` of ``words``: int64, int64 and float64.
 
     Row i holds the composition weights of the i-th word, in the order
     :func:`composition_weights` gives them, at the columns ``columns``
@@ -283,20 +286,16 @@ def weight_matrix(
     subwords not in ``columns`` are dropped.  ``W`` has ``len(columns)``
     columns.
     """
-    from scipy import sparse  # imported here: it slows every command's start-up
     indptr, indices, data = array("q", [0]), array("q"), array("d")
     for word in words:
         rows, weights = _rows_and_weights(word, table, config, columns, extend)
         indices.extend(rows)
         data.extend(weights)
         indptr.append(len(indices))
-    return sparse.csr_array(
-        (
-            np.frombuffer(data, dtype=np.float64),
-            np.frombuffer(indices, dtype=np.int64),
-            np.frombuffer(indptr, dtype=np.int64),
-        ),
-        shape=(len(indptr) - 1, len(columns)),
+    return (
+        np.frombuffer(indptr, dtype=np.int64),
+        np.frombuffer(indices, dtype=np.int64),
+        np.frombuffer(data, dtype=np.float64),
     )
 
 
@@ -354,7 +353,7 @@ class PbosModel:
 
     def _compose(self, word: str) -> np.ndarray:
         """``word``'s vector, computed afresh."""
-        rows, weights = _rows_and_weights(word, self.table, self.config, self.embeddings.index, extend=False)
+        rows, weights = _rows_and_weights(word, self.table, self.config, self.embeddings._index, extend=False)
         gathered = self.embeddings.matrix.take(rows, axis=0)
         return _weighted_sum(np.array(weights), gathered, normalize=self.config.variant is Variant.PBOS_N)
 
@@ -364,13 +363,13 @@ class PbosModel:
         A subword containing a newline raises ``ValueError`` before any
         file is written.
         """
-        index, probs = self.embeddings.index, self.table.probs
+        index, probs, get = self.embeddings.index, self.table.probs, self.table._get
         subwords = [*index, *(subword for subword in probs if subword not in index)]
         text = "\n".join([*subwords, ""])  # no per-subword copies
         if text.count("\n") != len(subwords):
             bad = next(subword for subword in subwords if "\n" in subword)
             raise ValueError(f"subword contains a newline: {bad!r}")
-        values = np.fromiter((probs.get(s, 0.0) for s in subwords), np.float64, len(subwords))
+        values = np.fromiter((get(s, 0.0) for s in subwords), np.float64, len(subwords))
         document = {
             "train": {f.name: getattr(self.config, f.name) for f in fields(TrainConfig)},
             "table": {
@@ -482,9 +481,8 @@ def train(
             )
 
     subword_rows: dict[str, int] = {}
-    w_matrix = weight_matrix(targets.entries, table, config, subword_rows, extend=True)
-    bounds = w_matrix.indptr.tolist()
-    indices, data = w_matrix.indices, w_matrix.data
+    indptr, indices, data = weight_matrix(targets.entries, table, config, subword_rows, extend=True)
+    bounds = indptr.tolist()
     word_weights = (data[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     scales = [1.0 / max(1.0, float(weights @ weights)) for weights in word_weights]
 
@@ -554,14 +552,14 @@ def gradient_check(
     # perturb a private copy of the matrix, widened with zero rows for the
     # subwords of W that have no vector yet
     columns = dict(stored.index)
-    w_matrix = weight_matrix(targets.entries, model.table, model.config, columns, extend=True)
+    indptr, indices, data = weight_matrix(targets.entries, model.table, model.config, columns, extend=True)
     matrix = np.concatenate([stored.matrix, np.zeros((len(columns) - len(stored.index), stored.dim))])
-    bounds = w_matrix.indptr.tolist()
+    bounds = indptr.tolist()
     worst = 0.0
     for word_row, target in enumerate(targets.entries.values()):
         target = np.asarray(target, dtype=np.float64)
         lo, hi = bounds[word_row], bounds[word_row + 1]
-        rows, weights = w_matrix.indices[lo:hi], w_matrix.data[lo:hi]
+        rows, weights = indices[lo:hi], data[lo:hi]
 
         def squared_error() -> float:
             diff = _weighted_sum(weights, matrix.take(rows, axis=0), normalize=False) - target

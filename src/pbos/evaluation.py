@@ -53,17 +53,23 @@ class AffixInstance:
     gold: Affix
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their mean rank."""
+    ordered = np.sort(values)
+    return (np.searchsorted(ordered, values, "left") + np.searchsorted(ordered, values, "right") + 1) / 2.0
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation with average ranks for ties."""
-    from scipy.stats import rankdata  # imported here: it slows every command's start-up
+    """Spearman rank correlation of finite scores, average ranks for ties."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 1 or ys.ndim != 1 or xs.shape != ys.shape:
         raise ValueError("inputs must be equal-length 1-d sequences")
     if xs.size < 2:
         raise ValueError("need at least two pairs")
-    rank_x = rankdata(xs)
-    rank_y = rankdata(ys)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("rank correlation undefined: a score is nan or infinite")
+    rank_x, rank_y = _average_ranks(xs), _average_ranks(ys)
     if np.ptp(rank_x) == 0.0 or np.ptp(rank_y) == 0.0:
         raise ValueError("rank correlation undefined: zero variance in ranks")
     return float(np.corrcoef(rank_x, rank_y)[0, 1])

@@ -20,6 +20,7 @@ from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,17 +58,20 @@ class SubwordTable:
     ``max_len`` records the longest subword length counted (None when
     unbounded), and ``total_mass`` the count total (finite and >= 0).
 
-    ``stems`` is computed from ``probs`` at its first use (the lattice
-    reads it) and cached, so ``probs`` must not be mutated after the
-    table has been used by the lattice.
+    ``probs`` is held as a read-only view of the given mapping, not a copy,
+    and ``stems`` is computed from it at its first use (the lattice reads
+    it) and cached, so a caller that keeps the given dict must not edit it.
     """
 
-    probs: dict[str, float]
+    probs: Mapping[str, float]
     prob_eps: float = 0.01
     max_len: int | None = None
     total_mass: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_get", self.probs.get)  # a dict's get takes a third of the view's time
+        if not isinstance(self.probs, MappingProxyType):
+            object.__setattr__(self, "probs", MappingProxyType(self.probs))
         if not _is_number(self.prob_eps) or not 0.0 < self.prob_eps < 1.0:
             raise ValueError(f"prob_eps must be a real number in (0, 1), got {self.prob_eps!r}")
         if not _is_number(self.total_mass) or not 0.0 <= self.total_mass < math.inf:
@@ -99,7 +103,7 @@ class SubwordTable:
     def lookup(self, subword: str) -> float:
         if not subword:
             raise ValueError("cannot look up an empty subword")
-        prob = self.probs.get(subword)
+        prob = self._get(subword)
         if prob is not None:
             return prob
         return self.prob_eps if len(subword) == 1 else 0.0

@@ -142,6 +142,13 @@ def test_train_checks_the_learning_rate_before_reading_any_file(tmp_path, capsys
     assert "lr0" in capsys.readouterr().err
 
 
+def test_train_checks_the_prob_eps_before_reading_any_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    code = cli.main(["train", "--target", missing, "--subwords", missing, "--prob-eps", "2", "--out", missing])
+    assert code == cli.EXIT_DATA
+    assert "prob_eps must be a real number in (0, 1), got 2.0" in capsys.readouterr().err
+
+
 def test_bos_train_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys):
     target = tmp_path / "target.txt"
     target.write_text("2 2\nab 1.0 -1.0\na⟩⟨b 0.5 0.5\n", encoding="utf-8")
@@ -331,6 +338,30 @@ def test_predict_leaves_scipy_sparse_unloaded(tmp_path):
         [sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert result.stdout == "0 False\n"
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "eval-ws"])
+def test_a_command_leaves_scipy_unloaded(tmp_path, command):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    words = tmp_path / "words.txt"
+    words.write_text("ab\nba\n", encoding="utf-8")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("a\tb\t1.0\na\tab\t5.0\nb\tab\t4.0\n", encoding="utf-8")
+    model = _save_model(tmp_path / "model")
+    argv = {
+        "train": [*_train_inputs(tmp_path), "--epochs", "1", "--out", str(tmp_path / "trained")],
+        "predict": ["predict", "--model", model, "--words", str(words), "--out", str(tmp_path / "out")],
+        "eval-ws": ["eval-ws", "--model", model, "--pairs", str(pairs)],
+    }[command]
+    program = (
+        "import sys; from pbos import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, [name for name in sys.modules if name.split('.')[0] == 'scipy'])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_segment_exits_2_on_a_k_above_the_bound(tmp_path, capsys):

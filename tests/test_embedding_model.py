@@ -5,7 +5,7 @@ import math
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -308,6 +308,19 @@ def test_the_embeddings_matrix_is_read_only():
     assert embeddings[1].matrix is given
 
 
+def test_the_model_mappings_are_read_only():
+    table = SubwordTable({"a": 0.5, "b": 0.5})
+    model = make_model(table, vectors={"a": np.array([1.0, 2.0])})
+    assert np.array_equal(model.compose("a"), [1.0, 2.0])
+    with pytest.raises(TypeError):
+        model.table.probs["a"] = 0.25
+    with pytest.raises(TypeError):
+        del model.embeddings.index["a"]
+    assert np.array_equal(model.compose("a"), [1.0, 2.0])
+    # a table rebuilt from a read-only mapping keeps it as it is
+    assert replace(table, prob_eps=0.25).probs is table.probs
+
+
 def test_train_config_is_frozen():
     config = TrainConfig()
     with pytest.raises(FrozenInstanceError):
@@ -359,19 +372,27 @@ def test_compose_many_leaves_the_compose_memo_as_it_was():
     assert model.compose("ab") is first
 
 
+def _dense(indptr, indices, data, columns):
+    """``W`` as a dense array with ``columns`` columns, from its CSR arrays."""
+    dense = np.zeros((len(indptr) - 1, columns))
+    np.add.at(dense, (np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices), data)
+    return dense
+
+
 def test_weight_matrix_rows_hold_the_composition_weights_in_first_seen_columns():
     table = build_table({"abc": 2, "cab": 1})
     config = TrainConfig()
     columns: dict[str, int] = {}
-    weights = weight_matrix(["abc", "cab"], table, config, columns, extend=True)
-    assert weights.shape == (2, len(columns))
+    indptr, indices, data = weight_matrix(["abc", "cab"], table, config, columns, extend=True)
+    assert (indptr.dtype, indices.dtype, data.dtype) == (np.int64, np.int64, np.float64)
+    assert _dense(indptr, indices, data, len(columns)).shape == (2, len(columns))
     for row, word in enumerate(["abc", "cab"]):
-        lo, hi = weights.indptr[row], weights.indptr[row + 1]
-        names = [list(columns)[col] for col in weights.indices[lo:hi]]
-        assert list(zip(names, weights.data[lo:hi].tolist())) == composition_weights(word, table, config)
+        lo, hi = indptr[row], indptr[row + 1]
+        names = [list(columns)[col] for col in indices[lo:hi]]
+        assert list(zip(names, data[lo:hi].tolist())) == composition_weights(word, table, config)
     # without extend, subwords not in the columns are dropped
     known = {"c": 0, "ab": 1}
-    dropped = weight_matrix(["abc"], table, config, known).toarray()
+    dropped = _dense(*weight_matrix(["abc"], table, config, known), len(known))
     assert known == {"c": 0, "ab": 1}
     expected = dict(composition_weights("abc", table, config))
     assert dropped.tolist() == [[expected["c"], expected["ab"]]]
@@ -387,7 +408,8 @@ def test_training_approaches_the_min_norm_least_squares_solution(variant):
     config = TrainConfig(variant=variant, epochs=400, lr_decay=False, bos_min_len=2, bos_max_len=3)
     targets = TargetEmbeddings(dim=3, entries={w: rng.standard_normal(3) for w in words})
     columns: dict[str, int] = {}
-    dense = weight_matrix(words, table, config, columns, extend=True).toarray()
+    arrays = weight_matrix(words, table, config, columns, extend=True)
+    dense = _dense(*arrays, len(columns))
     assert np.linalg.matrix_rank(dense) == len(words)
     goal = np.array(list(targets.entries.values()))
     optimum = np.linalg.lstsq(dense, goal, rcond=None)[0]

@@ -71,6 +71,42 @@ def test_spearman_handles_ties_with_average_ranks():
     assert value == pytest.approx(0.9486832980505138)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spearman_rejects_a_score_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match="nan or infinite"):
+        spearman([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="nan or infinite"):
+        spearman([1.0, 2.0, 3.0], [3.0, bad, 1.0])
+
+
+def _loop_average_ranks(values):
+    """1-based ranks, each tie given the mean of the positions it spans."""
+    ordered = sorted(values)
+    return [(ordered.index(v) + len(ordered) - ordered[::-1].index(v) + 1) / 2 for v in values]
+
+
+@settings(max_examples=60)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1e-300, 1.0, 7.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=2,
+        max_size=12,
+    ),
+)
+def test_spearman_is_the_correlation_of_average_ranks(pairs):
+    # ties, -0.0 against 0.0, and all-equal inputs against a loop reference
+    xs, ys = (list(column) for column in zip(*pairs))
+    rank_x, rank_y = _loop_average_ranks(xs), _loop_average_ranks(ys)
+    if len(set(rank_x)) == 1 or len(set(rank_y)) == 1:
+        with pytest.raises(ValueError, match="zero variance"):
+            spearman(xs, ys)
+    else:
+        assert spearman(xs, ys) == float(np.corrcoef(rank_x, rank_y)[0, 1])
+
+
 @settings(max_examples=40)
 @given(
     xs=st.lists(
