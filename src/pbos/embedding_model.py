@@ -40,8 +40,7 @@ dropped model is freed at once.  No memoized vector goes stale, because
 nothing ``compose`` reads can change: :class:`PbosModel`,
 :class:`TrainConfig` and :class:`SubwordTable` are frozen, the table's
 ``probs``, the embeddings' ``index`` and matrix and the arrays ``compose``
-returns are read-only.  The table wraps the dict it is given without a
-copy, so a caller that keeps that dict must not edit it.
+returns are read-only.
 
 A model directory stores each subword once:
 
@@ -75,13 +74,12 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import compress, islice
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
 from . import lattice
 from .io_formats import TargetEmbeddings, naming, replaced
-from .subword_stats import SubwordTable
+from .subword_stats import ReadOnlyDict, SubwordTable
 
 # Reserved boundary markers, assumed absent from the data alphabet.
 BOUNDARY_START = "⟨"  # ⟨
@@ -180,7 +178,7 @@ class SubwordEmbeddings:
             matrix = np.zeros((len(subwords), dim))
             for row, subword in enumerate(subwords):
                 matrix[row] = vectors[subword]
-        index = {subword: row for row, subword in enumerate(subwords)}
+        index = ReadOnlyDict(zip(subwords, range(len(subwords))))  # in row order
         if len(index) != len(subwords):
             raise ValueError(f"subword {_duplicate(subwords)!r} is listed twice")
         if matrix.shape != (len(index), dim):
@@ -190,8 +188,7 @@ class SubwordEmbeddings:
         matrix.flags.writeable = False
         self.dim = dim
         self.matrix = matrix
-        self.index: Mapping[str, int] = MappingProxyType(index)  # in row order
-        self._index = index  # compose's lookups: a dict's get beats the view's
+        self.index = index
 
     @property
     def vectors(self) -> Mapping[str, np.ndarray]:
@@ -292,11 +289,7 @@ def weight_matrix(
         indices.extend(rows)
         data.extend(weights)
         indptr.append(len(indices))
-    return (
-        np.frombuffer(indptr, dtype=np.int64),
-        np.frombuffer(indices, dtype=np.int64),
-        np.frombuffer(data, dtype=np.float64),
-    )
+    return np.frombuffer(indptr, np.int64), np.frombuffer(indices, np.int64), np.frombuffer(data, np.float64)
 
 
 def _weighted_sum(weights: np.ndarray, gathered: np.ndarray, normalize: bool) -> np.ndarray:
@@ -353,7 +346,7 @@ class PbosModel:
 
     def _compose(self, word: str) -> np.ndarray:
         """``word``'s vector, computed afresh."""
-        rows, weights = _rows_and_weights(word, self.table, self.config, self.embeddings._index, extend=False)
+        rows, weights = _rows_and_weights(word, self.table, self.config, self.embeddings.index, extend=False)
         gathered = self.embeddings.matrix.take(rows, axis=0)
         return _weighted_sum(np.array(weights), gathered, normalize=self.config.variant is Variant.PBOS_N)
 
@@ -363,13 +356,13 @@ class PbosModel:
         A subword containing a newline raises ``ValueError`` before any
         file is written.
         """
-        index, probs, get = self.embeddings.index, self.table.probs, self.table._get
+        index, probs = self.embeddings.index, self.table.probs
         subwords = [*index, *(subword for subword in probs if subword not in index)]
         text = "\n".join([*subwords, ""])  # no per-subword copies
         if text.count("\n") != len(subwords):
             bad = next(subword for subword in subwords if "\n" in subword)
             raise ValueError(f"subword contains a newline: {bad!r}")
-        values = np.fromiter((get(s, 0.0) for s in subwords), np.float64, len(subwords))
+        values = np.fromiter((probs.get(s, 0.0) for s in subwords), np.float64, len(subwords))
         document = {
             "train": {f.name: getattr(self.config, f.name) for f in fields(TrainConfig)},
             "table": {
@@ -432,7 +425,7 @@ class PbosModel:
             embeddings = SubwordEmbeddings(matrix.shape[1], matrix=matrix, subwords=subwords[:rows])
             listed = probs != 0.0  # 0.0: a vector subword without a table entry
             listed[rows:] = True
-            entries = dict(zip(compress(subwords, listed), probs[listed].tolist()))
+            entries = ReadOnlyDict(zip(compress(subwords, listed), probs[listed].tolist()))
             # the vector subwords are unique; a table-only one may repeat
             # neither one of them nor another table-only one
             if len(entries) != np.count_nonzero(listed) or any(

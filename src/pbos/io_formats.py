@@ -32,7 +32,7 @@ from typing import IO
 import numpy as np
 
 from .evaluation import Affix, AffixInstance, SimilarityPair
-from .subword_stats import SubwordTable
+from .subword_stats import ReadOnlyDict, SubwordTable
 
 
 class FormatError(ValueError):
@@ -242,7 +242,7 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
     or header listed twice raises :class:`FormatError` naming the line.
     """
     header: dict[str, float | int | None] = {}
-    probs: dict[str, float] = {}
+    probs: ReadOnlyDict[str, float] = ReadOnlyDict()  # filled through dict.setdefault
     for number, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line:
@@ -269,7 +269,7 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
                 f"line {number}: probability of {subword!r} must be in (0, 1], got {value!r}"
             )
         # prob is a new float object, so only a new subword stores and returns it
-        if probs.setdefault(subword, prob) is not prob:
+        if dict.setdefault(probs, subword, prob) is not prob:
             raise FormatError(f"line {number}: repeated subword {subword!r}")
     if not probs:
         raise FormatError("subword file contains no subwords")

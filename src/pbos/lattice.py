@@ -93,7 +93,7 @@ def _scaled_pass(
     """
     _check_word(word)
     n = len(word)
-    get, stems, eps = table._get, table.stems, table.prob_eps
+    get, stems, eps = table.probs.get, table.stems, table.prob_eps
     frexp, ldexp = math.frexp, math.ldexp
     starts: list[list[_Span]] = [[] for _ in range(n + 1)]
     bwd_m, bwd_e = [0.0] * (n + 1), [0] * (n + 1)

@@ -20,7 +20,6 @@ from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +40,18 @@ def merge_freqs(freqs: WordFreqList) -> dict[str, int]:
     return merged
 
 
+class ReadOnlyDict(dict):
+    """A dict that refuses every edit; it reads, pickles and copies as a dict does."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"a {type(self).__name__} cannot be edited")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def _is_number(value: object, kinds: tuple[type, ...] = (int, float)) -> bool:
     """Whether ``value`` is one of ``kinds``; a bool (an int) is not."""
     return isinstance(value, kinds) and not isinstance(value, bool)
@@ -58,9 +69,9 @@ class SubwordTable:
     ``max_len`` records the longest subword length counted (None when
     unbounded), and ``total_mass`` the count total (finite and >= 0).
 
-    ``probs`` is held as a read-only view of the given mapping, not a copy,
-    and ``stems`` is computed from it at its first use (the lattice reads
-    it) and cached, so a caller that keeps the given dict must not edit it.
+    ``probs`` is held as a :class:`ReadOnlyDict`, into which any other
+    mapping is copied, so ``stems``, computed from it at its first use (the
+    lattice reads it) and cached, cannot go stale.
     """
 
     probs: Mapping[str, float]
@@ -69,9 +80,8 @@ class SubwordTable:
     total_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_get", self.probs.get)  # a dict's get takes a third of the view's time
-        if not isinstance(self.probs, MappingProxyType):
-            object.__setattr__(self, "probs", MappingProxyType(self.probs))
+        if not isinstance(self.probs, ReadOnlyDict):
+            object.__setattr__(self, "probs", ReadOnlyDict(self.probs))
         if not _is_number(self.prob_eps) or not 0.0 < self.prob_eps < 1.0:
             raise ValueError(f"prob_eps must be a real number in (0, 1), got {self.prob_eps!r}")
         if not _is_number(self.total_mass) or not 0.0 <= self.total_mass < math.inf:
@@ -103,7 +113,7 @@ class SubwordTable:
     def lookup(self, subword: str) -> float:
         if not subword:
             raise ValueError("cannot look up an empty subword")
-        prob = self._get(subword)
+        prob = self.probs.get(subword)
         if prob is not None:
             return prob
         return self.prob_eps if len(subword) == 1 else 0.0
@@ -146,7 +156,7 @@ def build_table(
                 counts[word[i:j]] += count
 
     scale = float(sum(counts.values()))
-    probs = {subword: count / scale for subword, count in counts.items()}
+    probs = ReadOnlyDict(zip(counts, (count / scale for count in counts.values())))
     # the table checks max_len and prob_eps; a max_len below 1 counts
     # nothing, so its check comes before the one on the total
     table = SubwordTable(

@@ -1,7 +1,9 @@
+import copy
 import gc
 import itertools
 import json
 import math
+import pickle
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +28,7 @@ from pbos.embedding_model import (
     weight_matrix,
 )
 from pbos.io_formats import TargetEmbeddings
-from pbos.subword_stats import SubwordTable, build_table
+from pbos.subword_stats import ReadOnlyDict, SubwordTable, build_table
 
 UNIT = SubwordTable({"a": 1.0, "b": 1.0, "ab": 1.0})
 
@@ -315,10 +317,40 @@ def test_the_model_mappings_are_read_only():
     with pytest.raises(TypeError):
         model.table.probs["a"] = 0.25
     with pytest.raises(TypeError):
-        del model.embeddings.index["a"]
+        model.embeddings.index.clear()
     assert np.array_equal(model.compose("a"), [1.0, 2.0])
     # a table rebuilt from a read-only mapping keeps it as it is
     assert replace(table, prob_eps=0.25).probs is table.probs
+
+
+def test_a_read_only_dict_refuses_every_edit():
+    probs = ReadOnlyDict({"a": 0.5})
+    edits = [
+        lambda: probs.__setitem__("b", 0.5), lambda: probs.__delitem__("a"), lambda: probs.__ior__({"b": 0.5}),
+        probs.clear, lambda: probs.pop("a"), probs.popitem, lambda: probs.setdefault("b", 0.5),
+        lambda: probs.update(b=0.5),
+    ]
+    for edit in edits:
+        with pytest.raises(TypeError):
+            edit()
+    assert probs == {"a": 0.5} and probs.get("a") == 0.5 and probs | {"b": 0.5} == {"a": 0.5, "b": 0.5}
+    for twin in (copy.copy(probs), copy.deepcopy(probs), pickle.loads(pickle.dumps(probs))):
+        assert type(twin) is ReadOnlyDict and twin == probs and twin is not probs
+
+
+def test_a_model_survives_pickling_and_deep_copying(tmp_path):
+    table = SubwordTable({"a": 0.5, "b": 0.5, "ab": 0.25})
+    model = make_model(table, vectors={"a": np.array([1.0, 2.0]), "ab": np.array([3.0, 5.0])})
+    model.save(tmp_path)
+    for original in (model, PbosModel.load(tmp_path)):
+        expected = original.compose("ab")
+        for twin in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert twin.table == original.table and twin.config == original.config
+            assert twin.embeddings.index == original.embeddings.index
+            assert twin.compose("ab").tobytes() == expected.tobytes()
+            assert type(twin.table.probs) is ReadOnlyDict and type(twin.embeddings.index) is ReadOnlyDict
+            with pytest.raises(TypeError):
+                twin.table.probs["a"] = 0.25
 
 
 def test_train_config_is_frozen():
