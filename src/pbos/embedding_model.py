@@ -24,13 +24,13 @@ All subword vectors live in one float64 matrix, one row per subword, with
 a subword-to-row index (:class:`SubwordEmbeddings`); training, composition,
 saving and loading share it.
 
-A model composes a word one way: ``_weighted_sum`` of the matrix rows of
-its subwords that have a vector.  :meth:`PbosModel.compose` memoizes that
-vector, and :meth:`PbosModel.compose_many` stacks it for each word of a
-batch (``predict``, ``eval-ws``, :func:`loss`) without touching the memo.
-``train`` fits the targets through the CSR arrays of the word x subword
-weight matrix ``W`` (:func:`weight_matrix`), columns in first-seen order,
-and ``gradient_check`` reads its weights from the same rows.
+A model composes words one way: :func:`weight_matrix`, the only caller
+of :func:`composition_weights`, reads them into the word x subword weight
+matrix ``W``, and a word's vector is ``_weighted_sum`` of its row and the
+matrix rows the row indexes.  :meth:`PbosModel.compose_many` reads ``W``
+of a batch (``predict``, ``eval-ws``, :func:`loss`) without touching the
+memo, and :meth:`PbosModel.compose` memoizes the row of a one-word batch.
+``train`` and ``gradient_check`` read ``W`` of the targets.
 
 A word's vector is a pure function of its spelling and the model, so
 ``compose`` memoizes it in a dict field of the model, word -> vector,
@@ -245,26 +245,6 @@ def composition_weights(
     return list(lattice.subword_weights(word, table).items())
 
 
-def _rows_and_weights(
-    word: str, table: SubwordTable, config: TrainConfig, columns: dict[str, int], extend: bool
-) -> tuple[list[int], list[float]]:
-    """The columns of ``word``'s subwords in ``columns`` and their weights.
-    A subword not in ``columns`` is appended to it with ``extend`` and
-    dropped otherwise (it has no vector, so it composes as zero)."""
-    pairs = composition_weights(word, table, config)
-    if extend:
-        return [columns.setdefault(sub, len(columns)) for sub, _ in pairs], [w for _, w in pairs]
-    get = columns.get
-    rows: list[int] = []
-    weights: list[float] = []
-    for subword, weight in pairs:
-        row = get(subword)
-        if row is not None:
-            rows.append(row)
-            weights.append(weight)
-    return rows, weights
-
-
 def weight_matrix(
     words: Iterable[str],
     table: SubwordTable,
@@ -278,14 +258,25 @@ def weight_matrix(
 
     Row i holds the composition weights of the i-th word, in the order
     :func:`composition_weights` gives them, at the columns ``columns``
-    assigns their subwords.  With ``extend`` a new subword is appended to
+    assigns their subwords; every composition reads its weights here.  With
+    ``extend`` (``train``, ``gradient_check``) a new subword is appended to
     ``columns``, so columns number subwords in first-seen order; otherwise
-    subwords not in ``columns`` are dropped.  ``W`` has ``len(columns)``
-    columns.
+    (``compose_many``) subwords not in ``columns`` are dropped.  ``W`` has
+    ``len(columns)`` columns.
     """
+    # lists append faster than arrays; arrays hold a batch in 16 bytes an entry
     indptr, indices, data = array("q", [0]), array("q"), array("d")
+    get = columns.get
     for word in words:
-        rows, weights = _rows_and_weights(word, table, config, columns, extend)
+        rows, weights = [], []
+        for subword, weight in composition_weights(word, table, config):
+            column = get(subword)
+            if column is None:
+                if not extend:
+                    continue
+                column = columns[subword] = len(columns)
+            rows.append(column)
+            weights.append(weight)
         indices.extend(rows)
         data.extend(weights)
         indptr.append(len(indices))
@@ -328,7 +319,7 @@ class PbosModel:
         memo = self._composed
         vector = memo.get(word)
         if vector is None:
-            vector = self._compose(word)
+            vector = self.compose_many([word])[0].copy()  # holds no 1-row base array
             vector.flags.writeable = False
             memo[word] = vector
             while len(memo) * vector.nbytes > COMPOSE_MEMO_BYTES:
@@ -339,16 +330,17 @@ class PbosModel:
         return vector
 
     def compose_many(self, words: Iterable[str]) -> np.ndarray:
-        """Row i is ``compose`` of the i-th word, bit for bit; the memo is
-        neither read nor filled, so a batch evicts nothing from it."""
-        vectors = [self._compose(word) for word in words]
-        return np.array(vectors).reshape(len(vectors), self.embeddings.dim)
-
-    def _compose(self, word: str) -> np.ndarray:
-        """``word``'s vector, computed afresh."""
-        rows, weights = _rows_and_weights(word, self.table, self.config, self.embeddings.index, extend=False)
-        gathered = self.embeddings.matrix.take(rows, axis=0)
-        return _weighted_sum(np.array(weights), gathered, normalize=self.config.variant is Variant.PBOS_N)
+        """Row i is ``compose`` of the i-th word, bit for bit, read from the
+        batch's ``W`` (:func:`weight_matrix`); the memo is neither read nor
+        filled, so a batch evicts nothing from it."""
+        indptr, indices, data = weight_matrix(words, self.table, self.config, self.embeddings.index)
+        matrix, normalize = self.embeddings.matrix, self.config.variant is Variant.PBOS_N
+        bounds = indptr.tolist()
+        vectors = np.empty((len(bounds) - 1, self.embeddings.dim))
+        # gathered per word: per batch, 5,000 query words of dim 50 took 68 MB
+        for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            vectors[row] = _weighted_sum(data[lo:hi], matrix.take(indices[lo:hi], axis=0), normalize)
+        return vectors
 
     def save(self, directory: str | Path) -> None:
         """Write the model directory laid out in the module docstring.
@@ -554,30 +546,30 @@ def gradient_check(
         lo, hi = bounds[word_row], bounds[word_row + 1]
         rows, weights = indices[lo:hi], data[lo:hi]
 
-        def squared_error() -> float:
-            diff = _weighted_sum(weights, matrix.take(rows, axis=0), normalize=False) - target
-            return float(diff @ diff)
+        def residual() -> np.ndarray:
+            return _weighted_sum(weights, matrix.take(rows, axis=0), normalize=False) - target
 
-        residual = _weighted_sum(weights, matrix.take(rows, axis=0), normalize=False) - target
+        stored_residual = residual()
         coords = [
             (row, weight, col)
             for row, weight in zip(rows.tolist(), weights.tolist())
             if weight >= 1e-3
             for col in range(stored.dim)
-            if abs(2.0 * weight * residual[col]) >= 1e-4
+            if abs(2.0 * weight * stored_residual[col]) >= 1e-4
         ]
         if len(coords) > max_coords_per_word:
             picked = rng.choice(len(coords), size=max_coords_per_word, replace=False)
             coords = [coords[i] for i in picked]
         for row, weight, col in coords:
-            analytic = 2.0 * weight * residual[col]
+            analytic = 2.0 * weight * stored_residual[col]
             original = matrix[row, col]
-            matrix[row, col] = original + h
-            f_plus = squared_error()
-            matrix[row, col] = original - h
-            f_minus = squared_error()
+            squared_errors = []
+            for shifted in (original + h, original - h):
+                matrix[row, col] = shifted
+                diff = residual()
+                squared_errors.append(float(diff @ diff))
             matrix[row, col] = original
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (squared_errors[0] - squared_errors[1]) / (2.0 * h)
             error = abs(analytic - numeric) / max(1e-8, abs(numeric))
             worst = max(worst, error)
     return worst
