@@ -170,12 +170,20 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
-    model = PbosModel.load(args.model)
-    text = sys.stdin.read() if args.words is None else _read(args.words, lambda fh: fh.read())
-    words = list(dict.fromkeys(w.strip() for w in text.split("\n") if w.strip()))
+def _query_words(stream) -> list[str]:
+    """The distinct stripped lines of ``stream`` (split at ``\\n`` only),
+    each one a token ``write_embeddings`` can write."""
+    words = list(dict.fromkeys(w.strip() for w in stream.read().split("\n") if w.strip()))
     if not words:
         raise ValueError("empty query word list")
+    for word in words:
+        io_formats.check_token(word)
+    return words
+
+
+def _cmd_predict(args) -> int:
+    words = _query_words(sys.stdin) if args.words is None else _read(args.words, _query_words)
+    model = PbosModel.load(args.model)
     composed = zip(words, model.compose_many(words))
     if args.out is None:
         io_formats.write_embeddings(composed, sys.stdout)

@@ -25,9 +25,9 @@ a subword-to-row index (:class:`SubwordEmbeddings`); training, composition,
 saving and loading share it.
 
 A model composes words one way: :func:`weight_matrix`, the only caller
-of :func:`composition_weights`, reads them into the word x subword weight
-matrix ``W``, and a word's vector is ``_weighted_sum`` of its row and the
-matrix rows the row indexes.  :meth:`PbosModel.compose_many` reads ``W``
+of :func:`composition_weights`, reads their weights into the word x
+subword weight matrix ``W``, and a word's vector is ``_weighted_sum`` of
+its row and the matrix rows the row indexes.  :meth:`PbosModel.compose_many` reads ``W``
 of a batch (``predict``, ``eval-ws``, :func:`loss`) without touching the
 memo, and :meth:`PbosModel.compose` memoizes the row of a one-word batch.
 ``train`` and ``gradient_check`` read ``W`` of the targets.
@@ -40,7 +40,8 @@ dropped model is freed at once.  No memoized vector goes stale, because
 nothing ``compose`` reads can change: :class:`PbosModel`,
 :class:`TrainConfig` and :class:`SubwordTable` are frozen, the table's
 ``probs``, the embeddings' ``index`` and matrix and the arrays ``compose``
-returns are read-only.
+returns are read-only.  A pickled or deep-copied model keeps its matrix
+read-only and starts with an empty memo.
 
 A model directory stores each subword once:
 
@@ -161,7 +162,10 @@ class SubwordEmbeddings:
     Built either from a ``vectors`` mapping (copied into a new matrix) or
     from a ``matrix`` whose rows belong, in order, to ``subwords``, which
     it keeps without copying and marks read-only, like the subword-to-row
-    ``index``.  Absent subwords compose as the zero vector.
+    ``index``.  Absent subwords compose as the zero vector.  ``dim`` must
+    be at least 1, and each of ``vectors`` finite and of shape
+    ``(dim,)``; a ``matrix`` is left to its callers (``train``, ``load``)
+    to check for finite values.
     """
 
     def __init__(
@@ -172,12 +176,19 @@ class SubwordEmbeddings:
         matrix: np.ndarray | None = None,
         subwords: Sequence[str] = (),
     ) -> None:
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
         if matrix is None:
             vectors = vectors or {}
             subwords = list(vectors)
             matrix = np.zeros((len(subwords), dim))
             for row, subword in enumerate(subwords):
-                matrix[row] = vectors[subword]
+                vector = np.asarray(vectors[subword], dtype=np.float64)
+                if vector.shape != (dim,):
+                    raise ValueError(f"vector for {subword!r} has shape {vector.shape}, expected ({dim},)")
+                if not np.isfinite(vector).all():
+                    raise ValueError(f"vector for {subword!r} has a non-finite component")
+                matrix[row] = vector
         index = ReadOnlyDict(zip(subwords, range(len(subwords))))  # in row order
         if len(index) != len(subwords):
             raise ValueError(f"subword {_duplicate(subwords)!r} is listed twice")
@@ -189,6 +200,11 @@ class SubwordEmbeddings:
         self.dim = dim
         self.matrix = matrix
         self.index = index
+
+    def __setstate__(self, state: dict) -> None:
+        # numpy does not keep the writeable flag through pickle or deepcopy
+        self.__dict__.update(state)
+        self.matrix.flags.writeable = False
 
     @property
     def vectors(self) -> Mapping[str, np.ndarray]:
@@ -308,6 +324,10 @@ class PbosModel:
     config: TrainConfig
     loss_trace: list[float] = field(default_factory=list)
     _composed: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        # a pickled or copied model starts with an empty memo
+        return type(self), (self.table, self.embeddings, self.config, self.loss_trace)
 
     def compose(self, word: str) -> np.ndarray:
         """Compose the vector for any word from its subword vectors.
@@ -498,14 +518,19 @@ def train(
     return PbosModel(table=table, embeddings=embeddings, config=config, loss_trace=trace)
 
 
-def loss(model: PbosModel, targets: TargetEmbeddings) -> float:
-    """Mean squared L2 error of composed vectors against the targets."""
+def _check_targets(model: PbosModel, targets: TargetEmbeddings) -> None:
+    """Reject an empty target vocabulary or one of another dimension."""
     if not targets.entries:
         raise ValueError("empty target vocabulary")
     if targets.dim != model.embeddings.dim:
         raise ValueError(
             f"dimension mismatch: targets {targets.dim}, model {model.embeddings.dim}"
         )
+
+
+def loss(model: PbosModel, targets: TargetEmbeddings) -> float:
+    """Mean squared L2 error of composed vectors against the targets."""
+    _check_targets(model, targets)
     goal = np.array(list(targets.entries.values()), dtype=np.float64)
     diff = model.compose_many(targets.entries) - goal
     return float(np.einsum("ij,ij->", diff, diff)) / len(targets.entries)
@@ -532,6 +557,7 @@ def gradient_check(
             "gradient check covers the pbos and bos variants; the pbos-n "
             "update deliberately does not differentiate through the norm"
         )
+    _check_targets(model, targets)
     rng = np.random.default_rng(seed)
     stored = model.embeddings
     # perturb a private copy of the matrix, widened with zero rows for the

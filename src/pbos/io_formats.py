@@ -135,6 +135,13 @@ def read_embeddings(stream: IO[str]) -> TargetEmbeddings:
     return TargetEmbeddings(dim=dim, entries=entries, duplicates_skipped=duplicates)
 
 
+def check_token(token: str) -> None:
+    """Reject a token that cannot head a word2vec text record: an empty
+    one or one that contains whitespace."""
+    if not token or any(ch.isspace() for ch in token):
+        raise ValueError(f"token is empty or contains whitespace: {token!r}")
+
+
 def write_embeddings(
     entries: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
     stream: IO[str],
@@ -150,8 +157,7 @@ def write_embeddings(
     records = []
     dim: int | None = None
     for token, vector in items:
-        if not token or any(ch.isspace() for ch in token):
-            raise ValueError(f"token is empty or contains whitespace: {token!r}")
+        check_token(token)
         arr = np.asarray(vector, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"vector for {token!r} is not one-dimensional")

@@ -82,7 +82,10 @@ def test_model_commands_exit_2_when_the_row_count_mismatches(tmp_path, capsys, c
     # one row more than subwords.txt has lines
     np.save(tmp_path / "model" / "vectors.npy", np.zeros((3, 2)))
     inputs = tmp_path / "inputs.txt"
-    inputs.write_text("a\tb\t1.0\nab\tb\t2.0\n", encoding="utf-8")
+    if command == "predict":  # query words are checked before the model is read
+        inputs.write_text("a\nab\n", encoding="utf-8")
+    else:
+        inputs.write_text("a\tb\t1.0\nab\tb\t2.0\n", encoding="utf-8")
     flag = "--words" if command == "predict" else "--pairs"
     code = cli.main([command, "--model", str(tmp_path / "model"), flag, str(inputs)])
     captured = capsys.readouterr()
@@ -245,6 +248,17 @@ def test_predict_splits_query_words_at_newlines_only(tmp_path, capsys, line_brea
     assert code == cli.EXIT_DATA
     assert repr(f"ab{line_break}b") in capsys.readouterr().err
     assert out.read_bytes() == b"1 2\nab 0.5 0.5\n"
+
+
+def test_predict_checks_the_words_file_before_it_reads_the_model(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("ab\na b\n", encoding="utf-8")
+    code = cli.main(["predict", "--model", str(tmp_path / "missing"), "--words", str(words)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert f"{words}: token is empty or contains whitespace: 'a b'" in captured.err
+    assert str(tmp_path / "missing") not in captured.err
+    assert captured.out == ""
 
 
 def test_predict_out_through_a_symlink_replaces_its_target(tmp_path):

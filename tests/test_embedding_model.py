@@ -310,6 +310,19 @@ def test_the_embeddings_matrix_is_read_only():
     assert embeddings[1].matrix is given
 
 
+@pytest.mark.parametrize("dim, vectors, matrix, message", [
+    (3, {"a": np.array([1.0])}, None, r"'a' has shape \(1,\), expected \(3,\)"),
+    (2, {"a": np.ones((1, 2))}, None, r"'a' has shape \(1, 2\), expected \(2,\)"),
+    (2, {"a": np.ones(2), "b": np.array([1.0, np.nan])}, None, "'b' has a non-finite component"),
+    (2, {"a": np.array([np.inf, 1.0])}, None, "'a' has a non-finite component"),
+    (0, None, None, "dim must be at least 1, got 0"),
+    (0, None, np.zeros((0, 0)), "dim must be at least 1, got 0"),
+], ids=["short", "2-d", "nan", "inf", "dim-0", "dim-0-matrix"])
+def test_embeddings_reject_what_no_model_can_use(dim, vectors, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        SubwordEmbeddings(dim, vectors, matrix=matrix)
+
+
 def test_the_model_mappings_are_read_only():
     table = SubwordTable({"a": 0.5, "b": 0.5})
     model = make_model(table, vectors={"a": np.array([1.0, 2.0])})
@@ -345,6 +358,7 @@ def test_a_model_survives_pickling_and_deep_copying(tmp_path):
     for original in (model, PbosModel.load(tmp_path)):
         expected = original.compose("ab")
         for twin in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert twin._composed == {} and not twin.embeddings.matrix.flags.writeable
             assert twin.table == original.table and twin.config == original.config
             assert twin.embeddings.index == original.embeddings.index
             assert twin.compose("ab").tobytes() == expected.tobytes()
@@ -599,6 +613,17 @@ def test_gradient_check_zero_residual_gives_zero_analytic_gradient():
     residual = model.compose("a") - target
     assert np.array_equal(residual, np.zeros(2))
     assert gradient_check(model, targets) == 0.0
+
+
+@pytest.mark.parametrize("targets, message", [
+    (TargetEmbeddings(dim=1, entries={"a": np.ones(1)}), "dimension mismatch: targets 1, model 2"),
+    (TargetEmbeddings(dim=2, entries={}), "empty target vocabulary"),
+], ids=["dim", "empty"])
+def test_gradient_check_rejects_targets_loss_rejects(targets, message):
+    model = make_model(SubwordTable({"a": 1.0}), vectors={"a": np.array([1.0, 2.0])})
+    for check in (loss, gradient_check):
+        with pytest.raises(ValueError, match=message):
+            check(model, targets)
 
 
 def test_gradient_check_rejects_pbos_n():
