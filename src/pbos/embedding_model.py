@@ -26,11 +26,11 @@ saving and loading share it.
 
 A model composes words one way: :func:`weight_matrix`, the only caller
 of :func:`composition_weights`, reads their weights into the word x
-subword weight matrix ``W``, and a word's vector is ``_weighted_sum`` of
-its row and the matrix rows the row indexes.  :meth:`PbosModel.compose_many` reads ``W``
-of a batch (``predict``, ``eval-ws``, :func:`loss`) without touching the
-memo, and :meth:`PbosModel.compose` memoizes the row of a one-word batch.
-``train`` and ``gradient_check`` read ``W`` of the targets.
+subword weight matrix ``W``; a word's vector is ``_weighted_sum`` of its
+row and the matrix rows it indexes.  :meth:`PbosModel.compose_many` reads
+``W`` of a batch (``predict``, ``eval-ws``, :func:`loss`) without touching
+the memo, and :meth:`PbosModel.compose` memoizes the row of a one-word
+batch.  ``train`` and ``gradient_check`` read ``W`` of the targets.
 
 A word's vector is a pure function of its spelling and the model, so
 ``compose`` memoizes it in a dict field of the model, word -> vector,
