@@ -40,9 +40,7 @@ def model():
     rng = np.random.default_rng(SEED)
     table = build_table({w: int(rng.integers(1, 100)) for w in _words(rng, 3000, 4, 13)})
     subwords = sorted(table.probs)[::2]
-    embeddings = SubwordEmbeddings(
-        DIM, matrix=rng.standard_normal((len(subwords), DIM)), subwords=subwords
-    )
+    embeddings = SubwordEmbeddings(subwords, rng.standard_normal((len(subwords), DIM)))
     return PbosModel(table=table, embeddings=embeddings, config=TrainConfig())
 
 

@@ -158,9 +158,9 @@ def _cmd_train(args) -> int:
     table = _read(args.subwords, io_formats.read_subwords)
     if args.prob_eps is not None:
         table = replace(table, prob_eps=args.prob_eps)
-    targets = _read(args.target, io_formats.read_embeddings)
-    if targets.duplicates_skipped:
-        _info(f"skipped {targets.duplicates_skipped} duplicate target tokens")
+    targets, duplicates = _read(args.target, io_formats.read_embeddings)
+    if duplicates:
+        _info(f"skipped {duplicates} duplicate target tokens")
     model = train(
         targets, table, config,
         on_epoch=lambda epoch, value: print(f"{epoch}\t{value:.9g}"),
@@ -183,8 +183,8 @@ def _query_words(stream) -> list[str]:
 
 def _cmd_predict(args) -> int:
     words = _query_words(sys.stdin) if args.words is None else _read(args.words, _query_words)
-    model = PbosModel.load(args.model)
-    composed = zip(words, model.compose_many(words))
+    # the store rejects a non-finite vector before an output is opened
+    composed = io_formats.SubwordEmbeddings(words, PbosModel.load(args.model).compose_many(words))
     if args.out is None:
         io_formats.write_embeddings(composed, sys.stdout)
     else:

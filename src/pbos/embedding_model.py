@@ -21,8 +21,11 @@ at zero, and a subword without a vector composes as zero, so an untrained
 model composes the zero vector for every word.
 
 All subword vectors live in one float64 matrix, one row per subword, with
-a subword-to-row index (:class:`SubwordEmbeddings`); training, composition,
-saving and loading share it.
+a subword-to-row index: the named-vector store :class:`SubwordEmbeddings`
+of :mod:`pbos.io_formats`, which checks its matrix when it is built.
+Training, composition, saving and loading share it, and the same store
+holds the target vectors ``train``, :func:`loss` and
+:func:`gradient_check` read and the vectors ``predict`` writes.
 
 A model composes words one way: :func:`weight_matrix`, the only caller
 of :func:`composition_weights`, reads their weights into the word x
@@ -57,11 +60,11 @@ Floats are stored exactly, so a loaded model composes bit for bit the
 vectors the saved one did, and saving it again writes the same bytes.
 ``save`` writes four partial files (:func:`io_formats.replaced`), then
 replaces the four model files together, ``config.json`` last.
-``load`` memory-maps ``vectors.npy`` read-only, checks every file (no more
-matrix rows than subwords, finite values, no subword listed twice),
-leaves the values in ``config.json`` and the probabilities to the checks
-of :class:`TrainConfig` and :class:`SubwordTable`, and names the file in
-every error it raises.
+``load`` memory-maps ``vectors.npy`` read-only, checks that no subword is
+listed twice and that the matrix has no more rows than there are
+subwords, leaves the matrix, the values in ``config.json`` and the
+probabilities to the checks of the store, :class:`TrainConfig` and
+:class:`SubwordTable`, and names the file in every error it raises.
 """
 
 from __future__ import annotations
@@ -70,16 +73,15 @@ import json
 import math
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import lattice
-from .io_formats import TargetEmbeddings, naming, replaced
+from .io_formats import SubwordEmbeddings, TargetEmbeddings, _duplicate, naming, replaced
 from .subword_stats import ReadOnlyDict, SubwordTable
 
 # Reserved boundary markers, assumed absent from the data alphabet.
@@ -149,81 +151,6 @@ class TrainConfig:
     def learning_rate(self, epoch: int) -> float:
         """Learning rate for 1-based epoch ``epoch``."""
         return self.lr0 / math.sqrt(epoch) if self.lr_decay else self.lr0
-
-
-def _duplicate(items: Sequence[str]) -> str:
-    """The first item of ``items`` that occurs in it more than once."""
-    return next(item for item, count in Counter(items).items() if count > 1)
-
-
-class SubwordEmbeddings:
-    """Subword vectors as one float64 matrix with a subword-to-row index.
-
-    Built either from a ``vectors`` mapping (copied into a new matrix) or
-    from a ``matrix`` whose rows belong, in order, to ``subwords``, which
-    it keeps without copying and marks read-only, like the subword-to-row
-    ``index``.  Absent subwords compose as the zero vector.  ``dim`` must
-    be at least 1, and each of ``vectors`` finite and of shape
-    ``(dim,)``; a ``matrix`` is left to its callers (``train``, ``load``)
-    to check for finite values.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        vectors: Mapping[str, np.ndarray] | None = None,
-        *,
-        matrix: np.ndarray | None = None,
-        subwords: Sequence[str] = (),
-    ) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be at least 1, got {dim}")
-        if matrix is None:
-            vectors = vectors or {}
-            subwords = list(vectors)
-            matrix = np.zeros((len(subwords), dim))
-            for row, subword in enumerate(subwords):
-                vector = np.asarray(vectors[subword], dtype=np.float64)
-                if vector.shape != (dim,):
-                    raise ValueError(f"vector for {subword!r} has shape {vector.shape}, expected ({dim},)")
-                if not np.isfinite(vector).all():
-                    raise ValueError(f"vector for {subword!r} has a non-finite component")
-                matrix[row] = vector
-        index = ReadOnlyDict(zip(subwords, range(len(subwords))))  # in row order
-        if len(index) != len(subwords):
-            raise ValueError(f"subword {_duplicate(subwords)!r} is listed twice")
-        if matrix.shape != (len(index), dim):
-            raise ValueError(
-                f"matrix has shape {matrix.shape}, expected ({len(index)}, {dim})"
-            )
-        matrix.flags.writeable = False
-        self.dim = dim
-        self.matrix = matrix
-        self.index = index
-
-    def __setstate__(self, state: dict) -> None:
-        # numpy does not keep the writeable flag through pickle or deepcopy
-        self.__dict__.update(state)
-        self.matrix.flags.writeable = False
-
-    @property
-    def vectors(self) -> Mapping[str, np.ndarray]:
-        """Read-only view: subword -> its row of the matrix."""
-        return _RowView(self)
-
-
-class _RowView(Mapping):
-    def __init__(self, embeddings: SubwordEmbeddings) -> None:
-        self._embeddings = embeddings
-
-    def __getitem__(self, subword: str) -> np.ndarray:
-        return self._embeddings.matrix[self._embeddings.index[subword]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._embeddings.index)
-
-    def __len__(self) -> int:
-        return len(self._embeddings.index)
 
 
 def bos_subword_counts(
@@ -411,22 +338,6 @@ class PbosModel:
             subwords = subwords_path.read_bytes().decode("utf-8").split("\n")
             if subwords.pop():
                 raise ValueError("the last line does not end in a newline")
-        with naming(path / MODEL_MATRIX_FILE) as matrix_path:
-            # np.asarray drops the np.memmap subclass, whose per-operation
-            # overhead compose would pay, and keeps the mapping alive
-            matrix = np.asarray(np.load(matrix_path, mmap_mode="r", allow_pickle=False))
-            if matrix.ndim != 2 or matrix.dtype != np.float64 or matrix.shape[1] < 1:
-                raise ValueError(
-                    f"expected a 2-D float64 matrix with at least one column, "
-                    f"got shape {matrix.shape} of {matrix.dtype}"
-                )
-            rows = matrix.shape[0]
-            if rows > len(subwords):
-                raise ValueError(f"has {rows} rows but {subwords_path} lists {len(subwords)} subwords")
-            finite = np.isfinite(matrix).all(axis=1)
-            if not finite.all():
-                row = int(np.argmin(finite))
-                raise ValueError(f"row {row + 1} ({subwords[row]!r}) has a non-finite component")
         with naming(path / MODEL_PROBS_FILE) as probs_path:
             probs = np.load(probs_path, allow_pickle=False)
             if probs.dtype != np.float64 or probs.shape != (len(subwords),):
@@ -434,16 +345,19 @@ class PbosModel:
                     f"expected {len(subwords)} float64 values, got {probs.shape} of {probs.dtype}"
                 )
         with naming(subwords_path):
-            embeddings = SubwordEmbeddings(matrix.shape[1], matrix=matrix, subwords=subwords[:rows])
-            listed = probs != 0.0  # 0.0: a vector subword without a table entry
-            listed[rows:] = True
-            entries = ReadOnlyDict(zip(compress(subwords, listed), probs[listed].tolist()))
-            # the vector subwords are unique; a table-only one may repeat
-            # neither one of them nor another table-only one
-            if len(entries) != np.count_nonzero(listed) or any(
-                subword in embeddings.index for subword in islice(subwords, rows, None)
-            ):
+            entries = ReadOnlyDict(zip(subwords, probs.tolist()))
+            if len(entries) != len(subwords):
                 raise ValueError(f"subword {_duplicate(subwords)!r} is listed twice")
+        with naming(path / MODEL_MATRIX_FILE) as matrix_path:
+            # np.asarray drops the np.memmap subclass, whose per-operation
+            # overhead compose would pay, and keeps the mapping alive
+            matrix = np.asarray(np.load(matrix_path, mmap_mode="r", allow_pickle=False))
+            rows = len(matrix) if matrix.ndim == 2 else 0  # the store rejects any other shape
+            if rows > len(subwords):
+                raise ValueError(f"has {rows} rows but {subwords_path} lists {len(subwords)} subwords")
+            embeddings = SubwordEmbeddings(subwords[:rows], matrix)
+        if not probs[:rows].all():  # 0.0: a vector subword without a table entry
+            entries = ReadOnlyDict(item for row, item in enumerate(entries.items()) if row >= rows or item[1])
         with naming(probs_path):
             table = SubwordTable(entries, **document["table"])
         return cls(table=table, embeddings=embeddings, config=config, loss_trace=loss_trace)
@@ -464,34 +378,30 @@ def train(
     subword's vector; the factor 2 of the exact squared-error gradient is
     absorbed into the learning rate.  The division keeps an update from
     growing the residual when the weights are bos n-gram counts; weights
-    that sum to 1 keep the plain ``lr``.  The reported per-epoch loss is
-    the mean of squared residuals as visited; a non-finite epoch loss
-    raises ``ValueError`` naming the epoch.
+    that sum to 1 keep the plain ``lr``.  A word's target is its row of
+    ``targets.matrix``, which the store has checked finite and of the
+    targets' ``dim``.  The reported per-epoch loss is the mean of squared
+    residuals as visited; a non-finite epoch loss (the residuals of finite
+    targets may still overflow) raises ``ValueError`` naming the epoch.
 
     Composition weights depend only on the frozen table, so the weight
     matrix ``W`` of the targets is built once up front; its columns, in
     first-seen order, are the rows of the trained matrix.  Each word's
     step scale is computed once, before the first epoch; its rows and
     weights are sliced out of ``W`` at each visit.  The trained matrix is
-    handed to the model (which marks it read-only) only after the last.
+    handed to the store (which checks it and marks it read-only) only
+    after the last.
     """
-    if not targets.entries:
+    if not targets.index:
         raise ValueError("empty target vocabulary")
-    dim = targets.dim
-    goals = [np.asarray(target, dtype=np.float64) for target in targets.entries.values()]
-    for word, target in zip(targets.entries, goals):
-        if target.shape != (dim,):
-            raise ValueError(
-                f"target vector for {word!r} has shape {target.shape}, expected ({dim},)"
-            )
-
+    goals = targets.matrix
     subword_rows: dict[str, int] = {}
-    indptr, indices, data = weight_matrix(targets.entries, table, config, subword_rows, extend=True)
+    indptr, indices, data = weight_matrix(targets.index, table, config, subword_rows, extend=True)
     bounds = indptr.tolist()
     word_weights = (data[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     scales = [1.0 / max(1.0, float(weights @ weights)) for weights in word_weights]
 
-    matrix = np.zeros((len(subword_rows), dim))
+    matrix = np.zeros((len(subword_rows), targets.dim))
     rng = np.random.default_rng(config.seed)
     normalize = config.variant is Variant.PBOS_N
     trace: list[float] = []
@@ -514,13 +424,12 @@ def train(
         if on_epoch is not None:
             on_epoch(epoch, trace[-1])
 
-    embeddings = SubwordEmbeddings(dim, matrix=matrix, subwords=list(subword_rows))
-    return PbosModel(table=table, embeddings=embeddings, config=config, loss_trace=trace)
+    return PbosModel(table, SubwordEmbeddings(subword_rows, matrix), config, trace)
 
 
 def _check_targets(model: PbosModel, targets: TargetEmbeddings) -> None:
     """Reject an empty target vocabulary or one of another dimension."""
-    if not targets.entries:
+    if not targets.index:
         raise ValueError("empty target vocabulary")
     if targets.dim != model.embeddings.dim:
         raise ValueError(
@@ -529,11 +438,11 @@ def _check_targets(model: PbosModel, targets: TargetEmbeddings) -> None:
 
 
 def loss(model: PbosModel, targets: TargetEmbeddings) -> float:
-    """Mean squared L2 error of composed vectors against the targets."""
+    """Mean squared L2 error of composed vectors against the rows of
+    ``targets.matrix``."""
     _check_targets(model, targets)
-    goal = np.array(list(targets.entries.values()), dtype=np.float64)
-    diff = model.compose_many(targets.entries) - goal
-    return float(np.einsum("ij,ij->", diff, diff)) / len(targets.entries)
+    diff = model.compose_many(targets.index) - targets.matrix
+    return float(np.einsum("ij,ij->", diff, diff)) / len(diff)
 
 
 def gradient_check(
@@ -550,8 +459,13 @@ def gradient_check(
     Coordinates are sampled among subwords carrying non-negligible weight
     and where the analytic gradient is non-negligible; elsewhere the
     finite-difference signal drowns in floating-point roundoff.  Intended
-    for small models (a few words, small dimension).
+    for small models (a few words, small dimension).  ``h`` must be finite
+    and positive, and ``max_coords_per_word`` at least 1.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+    if max_coords_per_word < 1:
+        raise ValueError(f"max_coords_per_word must be at least 1, got {max_coords_per_word}")
     if model.config.variant is Variant.PBOS_N:
         raise ValueError(
             "gradient check covers the pbos and bos variants; the pbos-n "
@@ -563,12 +477,11 @@ def gradient_check(
     # perturb a private copy of the matrix, widened with zero rows for the
     # subwords of W that have no vector yet
     columns = dict(stored.index)
-    indptr, indices, data = weight_matrix(targets.entries, model.table, model.config, columns, extend=True)
+    indptr, indices, data = weight_matrix(targets.index, model.table, model.config, columns, extend=True)
     matrix = np.concatenate([stored.matrix, np.zeros((len(columns) - len(stored.index), stored.dim))])
     bounds = indptr.tolist()
     worst = 0.0
-    for word_row, target in enumerate(targets.entries.values()):
-        target = np.asarray(target, dtype=np.float64)
+    for word_row, target in enumerate(targets.matrix):
         lo, hi = bounds[word_row], bounds[word_row + 1]
         rows, weights = indices[lo:hi], data[lo:hi]
 

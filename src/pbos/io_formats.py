@@ -5,11 +5,13 @@ All files are UTF-8.  Embedding files use the word2vec text layout
 separated) written at 9 significant digits.  Reading such a file back
 gives each value to within 5e-9 relative (half a unit in the ninth
 digit), exactly for float32 data, and writing what was read reproduces
-the file byte for byte.  The text layout serves the target embeddings
-``train`` reads and the vectors ``predict`` writes; the table text
-``subwords.tsv`` serves ``build-subwords``, ``train``, ``segment`` and
-``eval-affix``.  A model keeps neither: it stores its table and vectors
-in binary, exactly (see :mod:`pbos.embedding_model`).
+the file byte for byte.  The text layout serves one type, the
+named-vector store :class:`SubwordEmbeddings`: :func:`read_embeddings`
+gives the targets ``train`` reads as one, and :func:`write_embeddings`
+writes the one ``predict`` composes.  The table text ``subwords.tsv``
+serves ``build-subwords``, ``train``, ``segment`` and ``eval-affix``.  A
+model keeps neither: it stores its table and the same store in binary,
+exactly (see :mod:`pbos.embedding_model`).
 Frequency and benchmark readers skip malformed lines and count them.
 Embedding and subword files abort with :class:`FormatError` on a
 structural problem or a value no model can use: a non-finite vector
@@ -25,8 +27,10 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from array import array
+from collections import Counter
+from collections.abc import Collection, Iterable, Iterator, Mapping
+from itertools import islice
 from typing import IO
 
 import numpy as np
@@ -73,18 +77,83 @@ def replaced(path: str | os.PathLike, mode: str = "w") -> Iterator[IO]:
             os.unlink(partial)
 
 
-@dataclass
-class TargetEmbeddings:
-    """Fixed pre-trained word vectors a model is fitted against."""
-
-    dim: int
-    entries: dict[str, np.ndarray]
-    duplicates_skipped: int = 0
+def _duplicate(items: Iterable[str]) -> str:
+    """The first item of ``items`` that occurs in it more than once."""
+    return next(item for item, count in Counter(items).items() if count > 1)
 
 
-def read_embeddings(stream: IO[str]) -> TargetEmbeddings:
-    """Parse a word2vec text file; duplicate tokens keep the first
-    occurrence and are counted in ``duplicates_skipped``."""
+# rows per block of the finite check: a mask of the whole matrix would
+# cost as much memory as the matrix itself
+_FINITE_BLOCK_ROWS = 4096
+
+
+class SubwordEmbeddings:
+    """Named vectors: a float64 matrix whose rows belong, in order, to
+    ``names``, with a name-to-row ``index``.
+
+    The one store of every set of named vectors: a model's subword
+    vectors, the targets ``train`` fits and the vectors ``predict``
+    writes (``TargetEmbeddings`` is the same class).  The constructor
+    checks its input once: a 2-D float64 ndarray with at least one column,
+    one row per name, no name twice and finite rows.  It keeps the matrix
+    without copying and marks it read-only, like ``index``.
+    """
+
+    def __init__(self, names: Collection[str], matrix: np.ndarray) -> None:
+        if not (
+            isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+            and matrix.ndim == 2 and matrix.shape[1] >= 1
+        ):
+            raise ValueError(
+                f"expected a 2-D float64 matrix with at least one column, "
+                f"got shape {np.shape(matrix)} of {getattr(matrix, 'dtype', type(matrix).__name__)}"
+            )
+        if len(matrix) != len(names):
+            raise ValueError(f"a matrix of shape {matrix.shape} holds no row for each of {len(names)} names")
+        index = ReadOnlyDict(zip(names, range(len(names))))  # in row order
+        if len(index) != len(names):
+            raise ValueError(f"name {_duplicate(names)!r} is listed twice")
+        for start in range(0, len(matrix), _FINITE_BLOCK_ROWS):
+            finite = np.isfinite(matrix[start : start + _FINITE_BLOCK_ROWS]).all(axis=1)
+            if not finite.all():
+                row = start + int(np.argmin(finite))
+                raise ValueError(f"row {row + 1} ({next(islice(index, row, None))!r}) has a non-finite component")
+        matrix.flags.writeable = False
+        self.dim = matrix.shape[1]
+        self.matrix = matrix
+        self.index = index
+
+    def __setstate__(self, state: dict) -> None:
+        # numpy does not keep the writeable flag through pickle or deepcopy
+        self.__dict__.update(state)
+        self.matrix.flags.writeable = False
+
+    @property
+    def vectors(self) -> Mapping[str, np.ndarray]:
+        """Read-only view: name -> its row of the matrix."""
+        return _RowView(self)
+
+
+TargetEmbeddings = SubwordEmbeddings
+
+
+class _RowView(Mapping):
+    def __init__(self, embeddings: SubwordEmbeddings) -> None:
+        self._embeddings = embeddings
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._embeddings.matrix[self._embeddings.index[name]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._embeddings.index)
+
+    def __len__(self) -> int:
+        return len(self._embeddings.index)
+
+
+def read_embeddings(stream: IO[str]) -> tuple[SubwordEmbeddings, int]:
+    """Parse a word2vec text file into the store and the count of
+    duplicate tokens skipped; a duplicate keeps the first occurrence."""
     header = stream.readline()
     parts = header.split()
     if len(parts) != 2:
@@ -96,7 +165,9 @@ def read_embeddings(stream: IO[str]) -> TargetEmbeddings:
     if declared < 1 or dim < 1:
         raise FormatError(f"embedding header must declare positive sizes: {header!r}")
 
-    entries: dict[str, np.ndarray] = {}
+    # filled as read: the header may declare any count
+    names: dict[str, None] = {}
+    values = array("d")
     duplicates = 0
     for record in range(declared):
         line = stream.readline()
@@ -113,26 +184,26 @@ def read_embeddings(stream: IO[str]) -> TargetEmbeddings:
         if not token:
             raise FormatError(f"record {record + 1} has an empty token")
         try:
-            values = [float(x) for x in fields[1:]]
+            row = [float(x) for x in fields[1:]]
         except ValueError:
             raise FormatError(
                 f"record {record + 1} has a non-numeric component"
             ) from None
         # an inf or nan component makes the sum non-finite, so a finite
         # sum clears the record without a per-component test
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise FormatError(
                 f"record {record + 1} ({token!r}) has a non-finite component"
             )
-        vector = np.array(values, dtype=np.float64)
-        if token in entries:
+        if token in names:
             duplicates += 1
             continue
-        entries[token] = vector
+        names[token] = None
+        values.extend(row)
     trailing = stream.readline()
     if trailing.strip():
         raise FormatError(f"more records than the header declares ({declared})")
-    return TargetEmbeddings(dim=dim, entries=entries, duplicates_skipped=duplicates)
+    return SubwordEmbeddings(names, np.frombuffer(values, np.float64).reshape(-1, dim)), duplicates
 
 
 def check_token(token: str) -> None:
@@ -142,39 +213,25 @@ def check_token(token: str) -> None:
         raise ValueError(f"token is empty or contains whitespace: {token!r}")
 
 
-def write_embeddings(
-    entries: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
-    stream: IO[str],
-) -> None:
+def write_embeddings(vectors: SubwordEmbeddings, stream: IO[str]) -> None:
     """Write word2vec text format at 9 significant digits (``predict``
     output; models are saved in binary).
 
     A value read back differs from the written float64 by at most 5e-9
     relative (half a unit in the ninth digit; exact for float32 data),
-    and rewriting the values read back gives the same bytes.
+    and rewriting the values read back gives the same bytes.  An empty
+    store or a name :func:`check_token` rejects raises ``ValueError``
+    before anything is written.
     """
-    items = entries.items() if isinstance(entries, Mapping) else list(entries)
-    records = []
-    dim: int | None = None
-    for token, vector in items:
-        check_token(token)
-        arr = np.asarray(vector, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"vector for {token!r} is not one-dimensional")
-        if dim is None:
-            dim = arr.shape[0]
-        elif arr.shape[0] != dim:
-            raise ValueError(
-                f"inconsistent dimension for {token!r}: {arr.shape[0]} != {dim}"
-            )
-        records.append((token, arr))
-    if not records:
+    if not vectors.index:
         raise ValueError("refusing to write an empty embedding file")
-    stream.write(f"{len(records)} {dim}\n")
+    for token in vectors.index:
+        check_token(token)
+    stream.write(f"{len(vectors.index)} {vectors.dim}\n")
     # one % per row formats each value as format(value, ".9g") does
-    template = "%s" + " %.9g" * dim + "\n"
-    for token, arr in records:
-        stream.write(template % (token, *arr.tolist()))
+    template = "%s" + " %.9g" * vectors.dim + "\n"
+    for token, row in zip(vectors.index, vectors.matrix):
+        stream.write(template % (token, *row.tolist()))
 
 
 def read_freqs(stream: IO[str]) -> tuple[list[tuple[str, int]], int]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pbos import cli, io_formats
-from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig, Variant
+from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig, Variant, bos_subword_counts
 from pbos.evaluation import evaluate_affix_dataset, filter_affix_dataset, word_similarity
 from pbos.lattice import MAX_TOP_K
 from pbos.subword_stats import SubwordTable, build_table
@@ -47,9 +47,7 @@ def test_train_rejects_a_non_finite_target_before_epoch_1(tmp_path, capsys):
 def test_predict_exits_2_on_a_nan_model_vector(tmp_path, capsys):
     model = PbosModel(
         table=SubwordTable({"a": 0.5, "b": 0.5}),
-        embeddings=SubwordEmbeddings(
-            dim=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        ),
+        embeddings=SubwordEmbeddings(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]])),
         config=TrainConfig(),
     )
     model.save(tmp_path / "model")
@@ -69,13 +67,35 @@ def test_predict_exits_2_on_a_nan_model_vector(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_predict_exits_2_on_a_vector_that_overflows_and_keeps_the_out_file(tmp_path, capsys):
+    # the six n-grams of ⟨abc⟩ each hold 1e308, so their sum overflows to inf
+    ngrams = list(bos_subword_counts("abc", 3, 6, word_boundary=True))
+    model = PbosModel(
+        table=SubwordTable({}),
+        embeddings=SubwordEmbeddings(ngrams, np.tile([1e308, 1.0], (len(ngrams), 1))),
+        config=TrainConfig(variant=Variant.BOS),
+    )
+    model.save(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    words.write_text("abc\n", encoding="utf-8")
+    out = tmp_path / "vectors.txt"
+    out.write_bytes(b"1 2\nab 0.5 0.5\n")
+    command = ["predict", "--model", str(tmp_path / "model"), "--words", str(words)]
+    for destination in (["--out", str(out)], []):
+        code = cli.main(command + destination)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert "row 1 ('abc') has a non-finite component" in captured.err
+        assert captured.out == ""
+    assert out.read_bytes() == b"1 2\nab 0.5 0.5\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["model", "vectors.txt", "words.txt"]
+
+
 @pytest.mark.parametrize("command", ["predict", "eval-ws"])
 def test_model_commands_exit_2_when_the_row_count_mismatches(tmp_path, capsys, command):
     model = PbosModel(
         table=SubwordTable({"a": 0.5, "b": 0.5}),
-        embeddings=SubwordEmbeddings(
-            dim=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        ),
+        embeddings=SubwordEmbeddings(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]])),
         config=TrainConfig(),
     )
     model.save(tmp_path / "model")
@@ -172,7 +192,7 @@ def test_bos_train_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys)
 def test_bos_predict_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys):
     model = PbosModel(
         table=SubwordTable({"a": 0.5}),
-        embeddings=SubwordEmbeddings(dim=2, vectors={"⟨a⟩": np.array([1.0, 0.0])}),
+        embeddings=SubwordEmbeddings(["⟨a⟩"], np.array([[1.0, 0.0]])),
         config=TrainConfig(variant=Variant.BOS, bos_min_len=1),
     )
     model.save(tmp_path / "model")
@@ -213,9 +233,7 @@ def test_build_subwords_leaves_no_partial_table(tmp_path, capsys, earlier):
 def _save_model(directory):
     PbosModel(
         table=SubwordTable({"a": 0.5, "b": 0.5}),
-        embeddings=SubwordEmbeddings(
-            dim=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        ),
+        embeddings=SubwordEmbeddings(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]])),
         config=TrainConfig(),
     ).save(directory)
     return str(directory)

@@ -33,8 +33,18 @@ from pbos.subword_stats import ReadOnlyDict, SubwordTable, build_table
 UNIT = SubwordTable({"a": 1.0, "b": 1.0, "ab": 1.0})
 
 
+def _matrix(vectors, dim):
+    return np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
+
+
+def target_store(dim, entries):
+    """The targets of a word -> vector mapping, built as (names, matrix)."""
+    return TargetEmbeddings(list(entries), _matrix(entries, dim))
+
+
 def make_model(table, dim=2, variant=Variant.PBOS, vectors=None, **kwargs):
-    embeddings = SubwordEmbeddings(dim=dim, vectors=dict(vectors or {}))
+    vectors = dict(vectors or {})
+    embeddings = SubwordEmbeddings(list(vectors), _matrix(vectors, dim))
     return PbosModel(
         table=table,
         embeddings=embeddings,
@@ -297,30 +307,45 @@ def test_threads_composing_past_the_memo_bound_get_correct_vectors():
 
 
 def test_the_embeddings_matrix_is_read_only():
+    assert TargetEmbeddings is SubwordEmbeddings  # one store for targets and subword vectors
     given = np.ones((1, 2))
     embeddings = [
-        SubwordEmbeddings(2, {"a": np.ones(2)}),
-        SubwordEmbeddings(2, matrix=given, subwords=["a"]),
-        train(TargetEmbeddings(dim=2, entries={"a": np.ones(2)}), UNIT, TrainConfig(epochs=1)).embeddings,
+        SubwordEmbeddings(["a"], given),
+        train(target_store(2, {"a": np.ones(2)}), UNIT, TrainConfig(epochs=1)).embeddings,
     ]
     for store in embeddings:
         with pytest.raises(ValueError):
             store.matrix[0, 0] = 5.0
     # the matrix is kept without a copy, so the caller's array is read-only too
-    assert embeddings[1].matrix is given
+    assert embeddings[0].matrix is given
 
 
-@pytest.mark.parametrize("dim, vectors, matrix, message", [
-    (3, {"a": np.array([1.0])}, None, r"'a' has shape \(1,\), expected \(3,\)"),
-    (2, {"a": np.ones((1, 2))}, None, r"'a' has shape \(1, 2\), expected \(2,\)"),
-    (2, {"a": np.ones(2), "b": np.array([1.0, np.nan])}, None, "'b' has a non-finite component"),
-    (2, {"a": np.array([np.inf, 1.0])}, None, "'a' has a non-finite component"),
-    (0, None, None, "dim must be at least 1, got 0"),
-    (0, None, np.zeros((0, 0)), "dim must be at least 1, got 0"),
-], ids=["short", "2-d", "nan", "inf", "dim-0", "dim-0-matrix"])
-def test_embeddings_reject_what_no_model_can_use(dim, vectors, matrix, message):
+# "2-d": each name's row is itself 2-D; "short"/"long": fewer/more rows than names
+@pytest.mark.parametrize("names, matrix, message", [
+    (["a"], np.ones((1, 2), dtype=np.float32), r"2-D float64 .* got shape \(1, 2\) of float32"),
+    (["a"], np.ones((1, 2), dtype=np.int64), r"2-D float64 .* got shape \(1, 2\) of int64"),
+    (["a", "b"], np.ones(2), r"2-D float64 .* got shape \(2,\) of float64"),
+    (["a"], np.ones((1, 2, 1)), r"2-D float64 .* got shape \(1, 2, 1\) of float64"),
+    (["a"], np.ones((1, 0)), r"at least one column, got shape \(1, 0\)"),
+    ([], np.zeros((0, 0)), r"at least one column, got shape \(0, 0\)"),
+    (["a", "b"], np.ones((1, 2)), r"shape \(1, 2\) holds no row for each of 2 names"),
+    (["a"], np.ones((2, 2)), r"shape \(2, 2\) holds no row for each of 1 names"),
+    (["a", "b", "a"], np.ones((3, 2)), "name 'a' is listed twice"),
+    (["a", "b"], np.array([[1.0, 2.0], [3.0, np.nan]]), r"row 2 \('b'\) has a non-finite component"),
+    (["a", "b"], np.array([[-np.inf, 2.0], [3.0, 4.0]]), r"row 1 \('a'\) has a non-finite component"),
+], ids=["float32", "int64", "1-d", "2-d", "dim-0", "dim-0-matrix", "short", "long", "repeated", "nan", "inf"])
+def test_embeddings_reject_what_no_model_can_use(names, matrix, message):
     with pytest.raises(ValueError, match=message):
-        SubwordEmbeddings(dim, vectors, matrix=matrix)
+        SubwordEmbeddings(names, matrix)
+
+
+def test_the_finite_check_reaches_every_row_block():
+    # a row past the first blocks of the check is scanned too
+    matrix = np.zeros((2 * 4096 + 3, 2))
+    matrix[-1, 1] = np.inf
+    names = [str(row) for row in range(len(matrix))]
+    with pytest.raises(ValueError, match=rf"row {len(matrix)} \('{len(matrix) - 1}'\)"):
+        SubwordEmbeddings(names, matrix)
 
 
 def test_the_model_mappings_are_read_only():
@@ -381,7 +406,7 @@ def test_rebinding_a_model_input_drops_the_memo():
     # the model is frozen, so no input can change under its memo
     replacements = {
         "table": SubwordTable({"a": 0.5, "b": 0.5}),
-        "embeddings": SubwordEmbeddings(2, {"a": np.array([6.0, 8.0])}),
+        "embeddings": SubwordEmbeddings(["a"], np.array([[6.0, 8.0]])),
         "config": TrainConfig(variant=Variant.PBOS_N),
         "loss_trace": [1.0],
     }
@@ -452,12 +477,12 @@ def test_training_approaches_the_min_norm_least_squares_solution(variant):
     words = ["abc", "bca", "cab", "abab"]
     table = build_table({"abc": 3, "bca": 2, "cab": 1, "ab": 4})
     config = TrainConfig(variant=variant, epochs=400, lr_decay=False, bos_min_len=2, bos_max_len=3)
-    targets = TargetEmbeddings(dim=3, entries={w: rng.standard_normal(3) for w in words})
+    targets = target_store(3, {w: rng.standard_normal(3) for w in words})
     columns: dict[str, int] = {}
     arrays = weight_matrix(words, table, config, columns, extend=True)
     dense = _dense(*arrays, len(columns))
     assert np.linalg.matrix_rank(dense) == len(words)
-    goal = np.array(list(targets.entries.values()))
+    goal = targets.matrix
     optimum = np.linalg.lstsq(dense, goal, rcond=None)[0]
     model = train(targets, table, config)
     assert model.embeddings.index == columns
@@ -469,7 +494,7 @@ def test_training_approaches_the_min_norm_least_squares_solution(variant):
 
 def test_single_word_single_step_memorizes_target():
     target = np.array([1.5, -2.0])
-    targets = TargetEmbeddings(dim=2, entries={"a": target})
+    targets = target_store(2, {"a": target})
     model = train(targets, SubwordTable({"a": 1.0}), TrainConfig(epochs=2, seed=0))
     assert model.embeddings.vectors["a"] == pytest.approx(target, abs=1e-12)
     assert model.loss_trace[0] == pytest.approx(float(target @ target))
@@ -478,7 +503,7 @@ def test_single_word_single_step_memorizes_target():
 
 
 def test_zero_epochs_leaves_all_vectors_zero():
-    targets = TargetEmbeddings(dim=2, entries={"a": np.ones(2)})
+    targets = target_store(2, {"a": np.ones(2)})
     model = train(targets, SubwordTable({"a": 1.0}), TrainConfig(epochs=0))
     assert model.loss_trace == []
     assert np.array_equal(model.compose("a"), np.zeros(2))
@@ -488,9 +513,7 @@ def test_training_is_deterministic_given_seed():
     rng = np.random.default_rng(17)
     words = ["abc", "bca", "cab", "abca"]
     table = build_table({w: 1 for w in words})
-    targets = TargetEmbeddings(
-        dim=4, entries={w: rng.standard_normal(4) for w in words}
-    )
+    targets = target_store(4, {w: rng.standard_normal(4) for w in words})
     config = TrainConfig(epochs=5, seed=42)
     first = train(targets, table, config)
     second = train(targets, table, config)
@@ -506,7 +529,7 @@ def test_overfit_reduces_loss_on_toy_set():
     words = ["".join(rng.choice(list("abcdef"), size=rng.integers(3, 7))) for _ in range(20)]
     words = list(dict.fromkeys(words))
     table = build_table({w: 1 for w in words})
-    targets = TargetEmbeddings(dim=8, entries={w: rng.standard_normal(8) for w in words})
+    targets = target_store(8, {w: rng.standard_normal(8) for w in words})
     model = train(targets, table, TrainConfig(epochs=20, seed=1))
     assert model.loss_trace[-1] < 0.1 * model.loss_trace[0]
 
@@ -514,7 +537,7 @@ def test_overfit_reduces_loss_on_toy_set():
 def test_bos_training_also_converges():
     rng = np.random.default_rng(6)
     words = ["abcd", "bcda", "cdab"]
-    targets = TargetEmbeddings(dim=4, entries={w: rng.standard_normal(4) for w in words})
+    targets = target_store(4, {w: rng.standard_normal(4) for w in words})
     model = train(
         targets, SubwordTable({}), TrainConfig(epochs=30, seed=2, variant=Variant.BOS)
     )
@@ -525,7 +548,7 @@ def test_single_word_update_contracts_when_step_is_small():
     # after one update the residual scales by (1 - lr * sum of squared weights)
     table = build_table({"ab": 1})
     target = np.array([4.0, 0.0])
-    targets = TargetEmbeddings(dim=2, entries={"ab": target})
+    targets = target_store(2, {"ab": target})
     config = TrainConfig(epochs=1, lr0=1.0, lr_decay=False, seed=0)
     weight_sq = sum(w * w for _, w in composition_weights("ab", table, config))
     assert 0.0 < config.lr0 * weight_sq < 2.0
@@ -541,7 +564,7 @@ def test_bos_step_is_normalized_by_the_squared_weights():
     # lr 1 over sum(w**2) removes the whole residual of a lone word in one
     # update, however large the n-gram counts are
     target = np.array([4.0, -3.0])
-    targets = TargetEmbeddings(dim=2, entries={"abcd": target})
+    targets = target_store(2, {"abcd": target})
     config = TrainConfig(epochs=1, lr_decay=False, variant=Variant.BOS)
     weight_sq = sum(w * w for _, w in composition_weights("abcd", SubwordTable({}), config))
     assert weight_sq > 2.0
@@ -550,7 +573,8 @@ def test_bos_step_is_normalized_by_the_squared_weights():
 
 
 def test_train_rejects_non_finite_loss():
-    targets = TargetEmbeddings(dim=2, entries={"a": np.array([np.inf, 0.0])})
+    # finite targets whose squared residual overflows
+    targets = target_store(2, {"a": np.array([1e200, 0.0])})
     with pytest.raises(ValueError, match="epoch 1"):
         train(targets, SubwordTable({"a": 1.0}), TrainConfig(epochs=3))
 
@@ -573,22 +597,22 @@ def test_cli_train_exits_2_and_saves_nothing_on_non_finite_loss(tmp_path, capsys
 
 def test_train_rejects_bad_targets():
     with pytest.raises(ValueError):
-        train(TargetEmbeddings(dim=2, entries={}), UNIT, TrainConfig())
-    bad = TargetEmbeddings(dim=2, entries={"a": np.zeros(3)})
+        train(target_store(2, {}), UNIT, TrainConfig())
+    # a target of another length than the others cannot be built
     with pytest.raises(ValueError):
-        train(bad, SubwordTable({"a": 1.0}), TrainConfig())
+        train(TargetEmbeddings(["a"], np.zeros(3)), SubwordTable({"a": 1.0}), TrainConfig())
 
 
 def test_loss_examples():
-    zero = TargetEmbeddings(dim=2, entries={"a": np.zeros(2)})
+    zero = target_store(2, {"a": np.zeros(2)})
     model = make_model(SubwordTable({"a": 1.0}))
     assert loss(model, zero) == 0.0
-    one = TargetEmbeddings(dim=2, entries={"a": np.array([2.0, 0.0])})
+    one = target_store(2, {"a": np.array([2.0, 0.0])})
     assert loss(model, one) == 4.0
     with pytest.raises(ValueError):
-        loss(model, TargetEmbeddings(dim=2, entries={}))
+        loss(model, target_store(2, {}))
     with pytest.raises(ValueError):
-        loss(model, TargetEmbeddings(dim=5, entries={"a": np.zeros(5)}))
+        loss(model, target_store(5, {"a": np.zeros(5)}))
 
 
 # --- gradient check -------------------------------------------------------------
@@ -598,9 +622,7 @@ def test_gradient_check_small_on_random_instances():
     table = build_table({"abc": 3, "bcd": 2, "cd": 5})
     for seed in range(5):
         words = ["abc", "bcdc", "da"]
-        targets = TargetEmbeddings(
-            dim=4, entries={w: rng.standard_normal(4) for w in words}
-        )
+        targets = target_store(4, {w: rng.standard_normal(4) for w in words})
         for variant in (Variant.PBOS, Variant.BOS):
             model = make_model(table, dim=4, variant=variant)
             assert gradient_check(model, targets, h=1e-5, seed=seed) < 1e-4
@@ -609,15 +631,15 @@ def test_gradient_check_small_on_random_instances():
 def test_gradient_check_zero_residual_gives_zero_analytic_gradient():
     target = np.array([1.0, 2.0])
     model = make_model(SubwordTable({"a": 1.0}), vectors={"a": target.copy()})
-    targets = TargetEmbeddings(dim=2, entries={"a": target})
+    targets = target_store(2, {"a": target})
     residual = model.compose("a") - target
     assert np.array_equal(residual, np.zeros(2))
     assert gradient_check(model, targets) == 0.0
 
 
 @pytest.mark.parametrize("targets, message", [
-    (TargetEmbeddings(dim=1, entries={"a": np.ones(1)}), "dimension mismatch: targets 1, model 2"),
-    (TargetEmbeddings(dim=2, entries={}), "empty target vocabulary"),
+    (target_store(1, {"a": np.ones(1)}), "dimension mismatch: targets 1, model 2"),
+    (target_store(2, {}), "empty target vocabulary"),
 ], ids=["dim", "empty"])
 def test_gradient_check_rejects_targets_loss_rejects(targets, message):
     model = make_model(SubwordTable({"a": 1.0}), vectors={"a": np.array([1.0, 2.0])})
@@ -626,9 +648,25 @@ def test_gradient_check_rejects_targets_loss_rejects(targets, message):
             check(model, targets)
 
 
+@pytest.mark.parametrize("h, max_coords_per_word, message", [
+    (0.0, 64, "h must be positive and finite, got 0.0"),
+    (-1e-5, 64, "h must be positive and finite, got -1e-05"),
+    (math.nan, 64, "h must be positive and finite, got nan"),
+    (math.inf, 64, "h must be positive and finite, got inf"),
+    (1e-5, 0, "max_coords_per_word must be at least 1, got 0"),
+], ids=["h-0", "h-negative", "h-nan", "h-inf", "no-coords"])
+def test_gradient_check_rejects_arguments_that_check_nothing(h, max_coords_per_word, message):
+    # the residual is not zero, so a valid call samples coordinates
+    model = make_model(SubwordTable({"a": 1.0}), vectors={"a": np.array([1.0, 2.0])})
+    targets = target_store(2, {"a": np.array([3.0, 5.0])})
+    assert gradient_check(model, targets) < 1e-4
+    with pytest.raises(ValueError, match=message):
+        gradient_check(model, targets, h=h, max_coords_per_word=max_coords_per_word)
+
+
 def test_gradient_check_rejects_pbos_n():
     model = make_model(SubwordTable({"a": 1.0}), variant=Variant.PBOS_N)
-    targets = TargetEmbeddings(dim=2, entries={"a": np.ones(2)})
+    targets = target_store(2, {"a": np.ones(2)})
     with pytest.raises(ValueError):
         gradient_check(model, targets)
 
@@ -639,7 +677,7 @@ def test_model_round_trips_through_directory(tmp_path):
     rng = np.random.default_rng(9)
     words = ["abc", "cab"]
     table = build_table({w: 2 for w in words})
-    targets = TargetEmbeddings(dim=3, entries={w: rng.standard_normal(3) for w in words})
+    targets = target_store(3, {w: rng.standard_normal(3) for w in words})
     model = train(targets, table, TrainConfig(epochs=3, seed=4))
     model.save(tmp_path / "model")
     loaded = PbosModel.load(tmp_path / "model")
@@ -688,12 +726,21 @@ def test_table_only_and_vector_only_subwords_round_trip(tmp_path):
 
 def test_bos_model_round_trips(tmp_path):
     rng = np.random.default_rng(3)
-    targets = TargetEmbeddings(dim=3, entries={w: rng.standard_normal(3) for w in ["abc", "bcd"]})
+    targets = target_store(3, {w: rng.standard_normal(3) for w in ["abc", "bcd"]})
     config = TrainConfig(epochs=2, variant=Variant.BOS, bos_min_len=2, bos_max_len=3)
     model = train(targets, build_table({"abc": 2, "bcd": 1}), config)
     loaded = _assert_round_trip(model, tmp_path / "model")
     assert any(BOUNDARY_START in subword for subword in loaded.embeddings.index)
     assert loaded.compose("abd").tobytes() == model.compose("abd").tobytes()
+
+
+def test_a_library_built_model_saves_a_float64_matrix_that_loads(tmp_path):
+    # the store takes float64 only, so no model saves a matrix load rejects
+    matrix = np.array([[1.0, 2.0], [0.1, -1e-300]])
+    model = PbosModel(SubwordTable({"a": 0.5, "b": 0.5}), SubwordEmbeddings(["a", "ab"], matrix), TrainConfig())
+    loaded = _assert_round_trip(model, tmp_path / "model")
+    assert np.load(tmp_path / "model" / "vectors.npy").dtype == np.float64
+    assert loaded.embeddings.matrix.tobytes() == matrix.tobytes()
 
 
 def test_a_model_with_an_empty_table_round_trips(tmp_path):
@@ -716,13 +763,13 @@ def test_a_config_with_every_field_changed_round_trips(tmp_path):
         bos_min_len=2, bos_max_len=4, bos_word_boundary=False, seed=11,
     )
     assert all(getattr(config, f.name) != f.default for f in fields(TrainConfig))
-    PbosModel(SubwordTable({"a": 1.0}), SubwordEmbeddings(2), config).save(tmp_path)
+    PbosModel(SubwordTable({"a": 1.0}), SubwordEmbeddings([], np.zeros((0, 2))), config).save(tmp_path)
     assert PbosModel.load(tmp_path).config == config
 
 
 def test_loss_trace_round_trips_exactly(tmp_path):
     trace = [0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, 0.0]
-    model = PbosModel(SubwordTable({"a": 1.0}), SubwordEmbeddings(2), TrainConfig(), loss_trace=trace)
+    model = PbosModel(SubwordTable({"a": 1.0}), SubwordEmbeddings([], np.zeros((0, 2))), TrainConfig(), loss_trace=trace)
     model.save(tmp_path)
     assert PbosModel.load(tmp_path).loss_trace == model.loss_trace
 

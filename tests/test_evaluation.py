@@ -34,7 +34,7 @@ INVENTORY = [
 def char_model(vectors):
     """Model over single-character words: compose('a') == vectors['a']."""
     table = SubwordTable({c: 0.5 for c in vectors})
-    embeddings = SubwordEmbeddings(dim=2, vectors={c: np.asarray(v, float) for c, v in vectors.items()})
+    embeddings = SubwordEmbeddings(list(vectors), np.array(list(vectors.values()), float))
     return PbosModel(table=table, embeddings=embeddings, config=TrainConfig())
 
 

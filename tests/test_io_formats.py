@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pbos.evaluation import Affix
 from pbos.io_formats import (
     FormatError,
+    SubwordEmbeddings,
     read_affix_instances,
     read_affix_inventory,
     read_embeddings,
@@ -23,11 +24,16 @@ from pbos.subword_stats import SubwordTable, build_table
 
 # --- embeddings ---------------------------------------------------------------
 
+def _store(vectors):
+    """The store of a token -> vector mapping, built as (names, matrix)."""
+    return SubwordEmbeddings(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
+
+
 def test_read_minimal_embedding_file():
-    result = read_embeddings(io.StringIO("1 2\nab 0.5 -1.0\n"))
+    result, duplicates_skipped = read_embeddings(io.StringIO("1 2\nab 0.5 -1.0\n"))
     assert result.dim == 2
-    assert result.duplicates_skipped == 0
-    assert np.array_equal(result.entries["ab"], np.array([0.5, -1.0]))
+    assert duplicates_skipped == 0
+    assert np.array_equal(result.vectors["ab"], np.array([0.5, -1.0]))
 
 
 def test_read_embeddings_header_count_mismatch():
@@ -49,9 +55,9 @@ def test_read_embeddings_structural_errors():
 
 
 def test_read_embeddings_keeps_first_duplicate():
-    result = read_embeddings(io.StringIO("2 1\nab 1\nab 2\n"))
-    assert result.duplicates_skipped == 1
-    assert result.entries["ab"][0] == 1.0
+    result, duplicates_skipped = read_embeddings(io.StringIO("2 1\nab 1\nab 2\n"))
+    assert duplicates_skipped == 1
+    assert result.vectors["ab"][0] == 1.0
 
 
 
@@ -63,12 +69,12 @@ def test_read_embeddings_rejects_non_finite_components(component):
 
 def test_write_embeddings_errors():
     with pytest.raises(ValueError):
-        write_embeddings({}, io.StringIO())
+        write_embeddings(SubwordEmbeddings([], np.zeros((0, 2))), io.StringIO())
     with pytest.raises(ValueError):
-        write_embeddings({"a b": np.zeros(2)}, io.StringIO())
-    with pytest.raises(ValueError):
+        write_embeddings(_store({"a b": np.zeros(2)}), io.StringIO())
+    with pytest.raises(ValueError):  # vectors of two lengths form no store
         write_embeddings(
-            {"a": np.zeros(2), "b": np.zeros(3)}, io.StringIO()
+            _store({"a": np.zeros(2), "b": np.zeros(3)}), io.StringIO()
         )
 
 
@@ -76,7 +82,7 @@ def test_write_embeddings_formats_like_format_9g_per_value():
     values = [-0.0, 0.0, 5e-324, 2.5e-310, -1e300, 1e300, 3.0, -12.0, 1e16, 0.1, 1.0 / 3.0, 123456789.5]
     vectors = {"a": np.array(values), "b": np.array(values[::-1]) * -1.0}
     buffer = io.StringIO()
-    write_embeddings(vectors, buffer)
+    write_embeddings(_store(vectors), buffer)
     expected = f"2 {len(values)}\n" + "".join(
         token + "".join(" " + format(value, ".9g") for value in vector) + "\n"
         for token, vector in vectors.items()
@@ -88,10 +94,10 @@ def test_write_embeddings_formats_like_format_9g_per_value():
 def test_write_then_read_round_trip():
     entries = {"alpha": np.array([0.123456789, -7.0]), "beta": np.array([1e-5, 2.5])}
     buffer = io.StringIO()
-    write_embeddings(entries, buffer)
-    result = read_embeddings(io.StringIO(buffer.getvalue()))
+    write_embeddings(_store(entries), buffer)
+    result, _ = read_embeddings(io.StringIO(buffer.getvalue()))
     for token, vector in entries.items():
-        assert result.entries[token] == pytest.approx(vector, rel=1e-9)
+        assert result.vectors[token] == pytest.approx(vector, rel=1e-9)
 
 
 @settings(max_examples=50)
@@ -111,15 +117,15 @@ def test_write_then_read_round_trip():
 def test_round_trip_is_byte_stable(entries):
     arrays = {token: np.array(values) for token, values in entries.items()}
     first = io.StringIO()
-    write_embeddings(arrays, first)
-    loaded = read_embeddings(io.StringIO(first.getvalue()))
+    write_embeddings(_store(arrays), first)
+    loaded, _ = read_embeddings(io.StringIO(first.getvalue()))
     second = io.StringIO()
-    write_embeddings(loaded.entries, second)
+    write_embeddings(loaded, second)
     assert first.getvalue() == second.getvalue()
     # nine significant digits are off by at most half a unit in the ninth
     # digit (5e-9 relative); parsing that decimal adds one float rounding
     for token, vector in arrays.items():
-        got = loaded.entries[token]
+        got = loaded.vectors[token]
         for a, b in zip(vector, got):
             if a != 0.0:
                 assert abs(b - a) <= 5e-9 * abs(a) + math.ulp(b)
