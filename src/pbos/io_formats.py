@@ -109,7 +109,7 @@ class SubwordEmbeddings:
                 f"got shape {np.shape(matrix)} of {getattr(matrix, 'dtype', type(matrix).__name__)}"
             )
         if len(matrix) != len(names):
-            raise ValueError(f"a matrix of shape {matrix.shape} holds no row for each of {len(names)} names")
+            raise ValueError(f"matrix has shape {matrix.shape}, expected one row for each of {len(names)} names")
         index = ReadOnlyDict(zip(names, range(len(names))))  # in row order
         if len(index) != len(names):
             raise ValueError(f"name {_duplicate(names)!r} is listed twice")

@@ -328,8 +328,8 @@ def test_the_embeddings_matrix_is_read_only():
     (["a"], np.ones((1, 2, 1)), r"2-D float64 .* got shape \(1, 2, 1\) of float64"),
     (["a"], np.ones((1, 0)), r"at least one column, got shape \(1, 0\)"),
     ([], np.zeros((0, 0)), r"at least one column, got shape \(0, 0\)"),
-    (["a", "b"], np.ones((1, 2)), r"shape \(1, 2\) holds no row for each of 2 names"),
-    (["a"], np.ones((2, 2)), r"shape \(2, 2\) holds no row for each of 1 names"),
+    (["a", "b"], np.ones((1, 2)), r"shape \(1, 2\), expected one row for each of 2 names"),
+    (["a"], np.ones((2, 2)), r"shape \(2, 2\), expected one row for each of 1 names"),
     (["a", "b", "a"], np.ones((3, 2)), "name 'a' is listed twice"),
     (["a", "b"], np.array([[1.0, 2.0], [3.0, np.nan]]), r"row 2 \('b'\) has a non-finite component"),
     (["a", "b"], np.array([[-np.inf, 2.0], [3.0, 4.0]]), r"row 1 \('a'\) has a non-finite component"),
