@@ -18,6 +18,8 @@ import argparse
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from . import io_formats, lattice
 from .embedding_model import PbosModel, TrainConfig, Variant, train
 from .evaluation import DEFAULT_NORM_FLOOR, evaluate_affix_dataset, filter_affix_dataset, word_similarity
@@ -254,8 +256,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # every command rejects a non-finite result it would hand out, so
+    # numpy's overflow warnings would only repeat that error on stderr
     try:
-        return args.run(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"pbos: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -46,6 +46,7 @@ import heapq
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 
 from .subword_stats import SubwordTable
 
@@ -55,7 +56,7 @@ Segmentation = tuple[str, ...]
 
 MAX_WORD_LEN = 1000  # the DP is cheap but unbounded input is abuse
 MAX_ENUM_LEN = 20    # exhaustive enumeration is O(2^n)
-MAX_TOP_K = 100      # top-k keeps k prefixes per position, O(k * n^2) memory
+MAX_TOP_K = 100      # top-k keeps k prefixes per position that a span still reaches
 
 # A nonzero span starting at i: (j, mantissa, exponent, word[i:j]), where
 # mantissa * 2**exponent is the probability of word[i:j].
@@ -84,8 +85,7 @@ def _scaled_pass(
     Returns ``(starts, forward, backward, weights)``.  ``starts[i]`` lists
     the nonzero spans that begin at i, in ascending order of their end.
     ``forward = (fwd_m, fwd_e)`` holds the path sum into position i as
-    ``fwd_m[i] * 2**fwd_e[i]`` and ``backward`` the sum out of it; a
-    mantissa of 0.0 means no path.
+    ``fwd_m[i] * 2**fwd_e[i]`` and ``backward`` the sum out of it.
 
     Sums add their terms in the order of the plain recursions, relative
     to the largest exponent seen so far, and rescale the partial sum
@@ -111,16 +111,13 @@ def _scaled_pass(
                     continue
                 else:
                     break  # no key begins with sub: the rest of the row is 0
-            if prob:
-                m, e = frexp(prob)
-                out.append((j, m, e, sub))
-                right = bwd_m[j]
-                if right:
-                    e += bwd_e[j]
-                    if e > top:
-                        acc, top = ldexp(acc, top - e) + m * right, e
-                    else:
-                        acc += ldexp(m * right, e - top)
+            m, e = frexp(prob)
+            out.append((j, m, e, sub))
+            e += bwd_e[j]
+            if e > top:
+                acc, top = ldexp(acc, top - e) + m * bwd_m[j], e
+            else:
+                acc += ldexp(m * bwd_m[j], e - top)
         m, e = frexp(acc)
         bwd_m[i], bwd_e[i] = m, e + top
 
@@ -136,8 +133,6 @@ def _scaled_pass(
         left, left_e = frexp(pend_m[i])
         left_e += pend_e[i]
         fwd_m[i], fwd_e[i] = left, left_e
-        if not left:
-            continue
         base = left_e - norm_e
         for j, m, e, sub in spans:
             term = left * m
@@ -158,8 +153,6 @@ def _scaled_pass(
 def _likelihood(seg: Segmentation, table: SubwordTable, forward: _Sums) -> float:
     """Product of the segment probabilities over the partition."""
     norm_m, norm_e = forward[0][-1], forward[1][-1]
-    if not norm_m:
-        raise ValueError("no segmentation has positive probability")
     mantissa, exponent = 1.0, 0
     for segment in seg:
         mantissa, shift = math.frexp(mantissa * table.lookup(segment))
@@ -227,58 +220,52 @@ def top_k_segmentations(
 
     Segmentations are ranked by the key (-log probability summed left to
     right, segment count, segments), so ties are broken by fewer segments,
-    then lexicographic segment order.  Position j keeps the k best
-    segmentations of ``word[:j]`` over positive spans.  Extending prefixes
-    by the same segment keeps their order, so the k best of the word are
-    built from the k best prefixes, exactly unless rounding makes two
-    different -log sums equal.  Fewer than k kept at the end are all the
-    positive ones, and zero-probability ones pad the list in key order.
-    Likelihoods are normalized by the partition value.
+    then lexicographic segment order.  Left to right, position i keeps the
+    k best of the segmentations of ``word[:i]`` pushed to it, then pushes
+    each kept one along every span that starts at i, as the forward pass
+    does.  Extending prefixes by the same segment keeps their order, so
+    the k best of the word are built from the k best prefixes, exactly
+    unless rounding makes two different -log sums equal.  Fewer than k
+    kept at the end are all the positive ones, and zero-probability ones
+    pad the list in key order.  Likelihoods are normalized by the
+    partition value.
     """
     if not 1 <= k <= MAX_TOP_K:
         raise ValueError(f"k must be in 1..{MAX_TOP_K}, got {k}")
     starts, forward, _, _ = _scaled_pass(word, table)
     log, ldexp = math.log, math.ldexp
-    ends: list[list[tuple[int, float, str]]] = [[] for _ in starts]
+    # pending[i]: (-log product, segment count, segments, (sub,)) of word[:i]
+    pending: list[list[tuple[float, int, Segmentation, Segmentation]]] = [[(0.0, 0, (), ())]]
+    pending += [[] for _ in word]
     for i, spans in enumerate(starts):
-        for j, m, e, sub in spans:
-            ends[j].append((i, log(ldexp(m, e)), sub))
-    # best[j]: sorted (-log product, segment count, segments) of word[:j]
-    best: list[list[tuple[float, int, Segmentation]]] = [[(0.0, 0, ())]]
-    for j in range(1, len(word) + 1):
-        candidates = []
-        for i, log_prob, sub in ends[j]:
-            for neg_log, count, segments in best[i]:
-                candidates.append((neg_log - log_prob, count + 1, segments, sub))
-        # equal counts mean equal lengths, so (segments, sub) orders like
+        # equal counts mean equal lengths, so (segments, (sub,)) orders like
         # segments + (sub,), which is built only for the k kept
-        best.append([
-            (neg_log, count, segments + (sub,))
-            for neg_log, count, segments, sub in heapq.nsmallest(k, candidates)
-        ])
-    ranked = [segments for _, _, segments in best[-1]]
-    # for a fixed segment count, segments order like their cut positions
-    n, listed = len(word), set(ranked)
-    every = (
-        tuple(word[i:j] for i, j in itertools.pairwise((0, *cuts, n)))
-        for parts in range(n) for cuts in itertools.combinations(range(1, n), parts)
-    )
-    ranked += itertools.islice((seg for seg in every if seg not in listed), k - len(ranked))
+        kept = [
+            (neg_log, count, segments + tail)
+            for neg_log, count, segments, tail in heapq.nsmallest(k, pending[i])
+        ]
+        pending[i] = []
+        for j, m, e, sub in spans:
+            log_prob, tail, push = log(ldexp(m, e)), (sub,), pending[j].append
+            for neg_log, count, segments in kept:
+                push((neg_log - log_prob, count + 1, segments, tail))
+    ranked = [segments for _, _, segments in kept]
+    listed = set(ranked)
+    ranked += itertools.islice((seg for seg in _segmentations(word) if seg not in listed), k - len(ranked))
     return [(segments, _likelihood(segments, table, forward)) for segments in ranked]
 
 
-def enumerate_all_segmentations(word: str) -> list[Segmentation]:
-    """All 2^(n-1) segmentations of ``word`` (guarded to short words)."""
-    _check_word(word, limit=MAX_ENUM_LEN)
+def _segmentations(word: str) -> Iterator[Segmentation]:
+    """Every segmentation of ``word``, lazily, by segment count and then
+    cut positions; for a fixed count, segments order like their cuts."""
     n = len(word)
-    out: list[Segmentation] = []
+    for parts in range(n):
+        for cuts in itertools.combinations(range(1, n), parts):
+            yield tuple(word[i:j] for i, j in itertools.pairwise((0, *cuts, n)))
 
-    def extend(start: int, acc: Segmentation) -> None:
-        if start == n:
-            out.append(acc)
-            return
-        for j in range(start + 1, n + 1):
-            extend(j, acc + (word[start:j],))
 
-    extend(0, ())
-    return out
+def enumerate_all_segmentations(word: str) -> list[Segmentation]:
+    """All 2^(n-1) segmentations of ``word`` (guarded to short words),
+    ordered by segment count and then segments."""
+    _check_word(word, limit=MAX_ENUM_LEN)
+    return list(_segmentations(word))

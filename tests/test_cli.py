@@ -4,6 +4,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -89,6 +90,34 @@ def test_predict_exits_2_on_a_vector_that_overflows_and_keeps_the_out_file(tmp_p
         assert captured.out == ""
     assert out.read_bytes() == b"1 2\nab 0.5 0.5\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["model", "vectors.txt", "words.txt"]
+
+
+def test_commands_that_overflow_exit_2_without_a_numpy_warning(tmp_path, capsys):
+    ngrams = list(bos_subword_counts("abc", 3, 6, word_boundary=True))
+    model = PbosModel(
+        table=SubwordTable({}),
+        embeddings=SubwordEmbeddings(ngrams, np.tile([1e308, 1.0], (len(ngrams), 1))),
+        config=TrainConfig(variant=Variant.BOS),
+    )
+    model.save(tmp_path / "model")
+    words = tmp_path / "words.txt"
+    words.write_text("abc\n", encoding="utf-8")
+    # a finite target whose squared residual overflows
+    target = tmp_path / "target.txt"
+    target.write_text("1 2\na 1e200 0.0\n", encoding="utf-8")
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t1.0\n", encoding="utf-8")
+    commands = [
+        ["predict", "--model", str(tmp_path / "model"), "--words", str(words)],
+        ["train", "--target", str(target), "--subwords", str(subwords), "--out", str(tmp_path / "fit")],
+    ]
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(command)
+        assert code == cli.EXIT_DATA
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.startswith("pbos: ")
 
 
 @pytest.mark.parametrize("command", ["predict", "eval-ws"])

@@ -1,7 +1,9 @@
 import io
+import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -387,6 +389,39 @@ def test_top_k_on_a_long_word_is_ranked_and_starts_with_the_viterbi_path(seed):
     assert segs[0] == tuple(reversed(path))
 
 
+def test_top_k_pads_with_every_zero_probability_segmentation_once_in_key_order():
+    table = SubwordTable({"a": 0.3, "ab": 0.2, "ba": 0.1, "bab": 0.05}, prob_eps=0.01)
+    for n in range(1, 8):
+        for letters in itertools.product("ab", repeat=n):
+            word = "".join(letters)
+            every = enumerate_all_segmentations(word)
+            result = top_k_segmentations(word, table, 2 ** (n - 1))
+            segs = [seg for seg, _ in result]
+            assert sorted(segs) == sorted(every)
+            positive = [seg for seg, prob in result if prob > 0.0]
+            assert segs[:len(positive)] == positive
+            zero = segs[len(positive):]
+            assert all(math.prod(map(table.lookup, seg)) == 0.0 for seg in zero)
+            assert zero == sorted(zero, key=lambda seg: (len(seg), seg))
+
+
+def test_top_k_memory_stays_with_the_spans_still_reached():
+    rng = random.Random(18)
+    letters = "abcdefghij"
+    freqs = {"".join(rng.choices(letters, k=rng.randint(2, 10))): rng.randint(1, 100) for _ in range(3000)}
+    table = build_table(freqs, max_len=4)
+    table.stems  # built once, before tracing
+    word = "".join(rng.choices(letters, k=400))
+    tracemalloc.start()
+    try:
+        result = top_k_segmentations(word, table, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 50
+    assert peak < 4 * 2**20
+
+
 def test_top_k_rejects_bad_k():
     with pytest.raises(ValueError):
         top_k_segmentations("ab", UNIT, 0)
@@ -411,6 +446,12 @@ def test_enumeration_matches_bitmask_oracle():
     got = set(enumerate_all_segmentations(word))
     assert got == set(oracles.all_segmentations(word))
     assert all("".join(seg) == word for seg in got)
+
+
+def test_enumeration_orders_by_segment_count_then_segments():
+    got = enumerate_all_segmentations("abcde")
+    assert got == sorted(got, key=lambda seg: (len(seg), seg))
+    assert got[:2] == [("abcde",), ("a", "bcde")]
 
 
 def test_enumeration_guard():
