@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from . import io_formats, lattice
 from .embedding_model import PbosModel, TrainConfig, Variant, train
-from .evaluation import DEFAULT_NORM_FLOOR, evaluate_affix_dataset, filter_affix_dataset, word_similarity
-from .subword_stats import SubwordTable, build_table
+from .evaluation import evaluate_affix_dataset, filter_affix_dataset, word_similarity
+from .subword_stats import build_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--freqs", required=True, help="frequency list (word,count or word<TAB>count per line)")
     p.add_argument("--max-len", type=int, default=None, help="cap on counted subword length (default: unbounded)")
-    p.add_argument("--prob-eps", type=float, default=SubwordTable.prob_eps, help="fallback probability for unknown single characters")
     p.add_argument("--lowercase", action="store_true", help="lowercase words before counting")
     p.add_argument("--out", required=True, help="output subwords.tsv path")
     p.set_defaults(run=_cmd_build_subwords)
@@ -82,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bos-word-boundary", action=argparse.BooleanOptionalAction, default=TrainConfig.bos_word_boundary,
                    help="wrap words in boundary markers before n-gram extraction (bos variant)")
     p.add_argument("--seed", type=int, default=TrainConfig.seed, help="RNG seed for epoch shuffling")
-    p.add_argument("--prob-eps", type=float, default=None,
-                   help="override the fallback probability stored in the subwords file")
     p.add_argument("--out", required=True, help="output model directory")
     p.set_defaults(run=_cmd_train)
 
@@ -115,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--pairs", required=True, help="benchmark file (word1<TAB>word2<TAB>score)")
-    p.add_argument("--norm-floor", type=float, default=DEFAULT_NORM_FLOOR,
-                   help="pairs with a composed vector below this norm score 0")
     p.set_defaults(run=_cmd_eval_ws)
 
     p = sub.add_parser(
@@ -146,7 +141,7 @@ def _cmd_build_subwords(args) -> int:
         _info(f"skipped {skipped} malformed frequency lines")
     if args.lowercase:
         entries = [(word.lower(), count) for word, count in entries]
-    table = build_table(entries, max_len=args.max_len, prob_eps=args.prob_eps)
+    table = build_table(entries, max_len=args.max_len)
     with io_formats.replaced(args.out) as fh:
         io_formats.write_subwords(table, fh)
     _info(f"wrote {len(table)} subwords to {args.out}")
@@ -155,11 +150,7 @@ def _cmd_build_subwords(args) -> int:
 
 def _cmd_train(args) -> int:
     config = TrainConfig(**{setting.name: getattr(args, setting.name) for setting in fields(TrainConfig)})
-    if args.prob_eps is not None:
-        SubwordTable({}, prob_eps=args.prob_eps)  # the table checks it before any file is read
     table = _read(args.subwords, io_formats.read_subwords)
-    if args.prob_eps is not None:
-        table = replace(table, prob_eps=args.prob_eps)
     targets, duplicates = _read(args.target, io_formats.read_embeddings)
     if duplicates:
         _info(f"skipped {duplicates} duplicate target tokens")
@@ -217,7 +208,7 @@ def _cmd_eval_ws(args) -> int:
     pairs, skipped = _read(args.pairs, io_formats.read_similarity_pairs)
     if not pairs:
         raise ValueError(f"no usable pairs in {args.pairs}")
-    rho = word_similarity(model, pairs, norm_floor=args.norm_floor)
+    rho = word_similarity(model, pairs)
     _info(f"Spearman rho {rho:.4f} over {len(pairs)} pairs ({skipped} lines skipped)")
     print(f"pairs\t{len(pairs)}")
     print(f"skipped_lines\t{skipped}")

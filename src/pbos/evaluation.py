@@ -22,7 +22,7 @@ import numpy as np
 from . import lattice
 from .subword_stats import SubwordTable
 
-DEFAULT_NORM_FLOOR = 1e-8
+NORM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,12 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.corrcoef(rank_x, rank_y)[0, 1])
 
 
-def word_similarity(
-    model,
-    pairs: Sequence[SimilarityPair],
-    norm_floor: float = DEFAULT_NORM_FLOOR,
-) -> float:
+def word_similarity(model, pairs: Sequence[SimilarityPair]) -> float:
     """Spearman correlation of model cosine scores against human scores.
 
     Benchmark words are lowercased before composition.  A pair gets model
-    score 0 when either composed vector has L2 norm below ``norm_floor``
-    (finite and >= 0).
+    score 0 when either composed vector has L2 norm below ``NORM_FLOOR``.
     """
-    if not 0.0 <= norm_floor < np.inf:
-        raise ValueError(f"norm_floor must be finite and >= 0, got {norm_floor}")
     if not pairs:
         raise ValueError("no similarity pairs")
     # each distinct word is composed once, in one batch
@@ -100,7 +93,7 @@ def word_similarity(
         vec2 = vectors[pair.word2.lower()]
         norm1 = float(np.linalg.norm(vec1))
         norm2 = float(np.linalg.norm(vec2))
-        if norm1 < norm_floor or norm2 < norm_floor:
+        if norm1 < NORM_FLOOR or norm2 < NORM_FLOOR:
             score = 0.0
         else:
             score = float(vec1 @ vec2) / (norm1 * norm2)

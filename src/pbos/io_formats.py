@@ -50,7 +50,7 @@ def naming(path: str | os.PathLike) -> Iterator[str | os.PathLike]:
         yield path
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (EOFError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

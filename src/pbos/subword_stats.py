@@ -118,18 +118,11 @@ class SubwordTable:
             return prob
         return self.prob_eps if len(subword) == 1 else 0.0
 
-    def __contains__(self, subword: str) -> bool:
-        return subword in self.probs
-
     def __len__(self) -> int:
         return len(self.probs)
 
 
-def build_table(
-    freqs: WordFreqList,
-    max_len: int | None = None,
-    prob_eps: float = SubwordTable.prob_eps,
-) -> SubwordTable:
+def build_table(freqs: WordFreqList, max_len: int | None = None) -> SubwordTable:
     """Count substring occurrences weighted by word frequency.
 
     Every substring occurrence of every listed word of length at most
@@ -155,13 +148,14 @@ def build_table(
             for j in range(i + 1, stop + 1):
                 counts[word[i:j]] += count
 
-    scale = float(sum(counts.values()))
+    try:
+        scale = float(sum(counts.values()))
+    except OverflowError:
+        raise ValueError("the count total is too large for a float") from None
     probs = ReadOnlyDict(zip(counts, (count / scale for count in counts.values())))
-    # the table checks max_len and prob_eps; a max_len below 1 counts
-    # nothing, so its check comes before the one on the total
-    table = SubwordTable(
-        probs=probs, prob_eps=prob_eps, max_len=max_len, total_mass=scale
-    )
+    # the table checks max_len; a max_len below 1 counts nothing, so its
+    # check comes before the one on the total
+    table = SubwordTable(probs=probs, max_len=max_len, total_mass=scale)
     if not probs:
         raise ValueError("all frequency counts are zero")
     return table

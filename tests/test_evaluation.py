@@ -192,14 +192,6 @@ def test_word_similarity_requires_pairs():
         word_similarity(char_model({"a": (1, 0)}), [])
 
 
-@pytest.mark.parametrize("norm_floor", [math.nan, math.inf, -1.0])
-def test_word_similarity_rejects_a_norm_floor_that_is_not_finite_and_at_least_0(norm_floor):
-    model = char_model({"a": (1.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0)})
-    pairs = [SimilarityPair("a", "b", 1.0), SimilarityPair("a", "c", 5.0)]
-    with pytest.raises(ValueError, match="norm_floor"):
-        word_similarity(model, pairs, norm_floor=norm_floor)
-
-
 # --- affix possibility and filtering ------------------------------------------
 
 def test_possible_affixes_are_positional():

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_read_freqs_word_may_contain_commas():
 # --- subword tables ----------------------------------------------------------------
 
 def test_subword_table_round_trip_is_exact():
-    table = build_table({"banana": 3, "band": 7}, max_len=4, prob_eps=0.02)
+    table = replace(build_table({"banana": 3, "band": 7}, max_len=4), prob_eps=0.02)
     buffer = io.StringIO()
     write_subwords(table, buffer)
     loaded = read_subwords(io.StringIO(buffer.getvalue()))

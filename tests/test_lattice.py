@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,25 @@ def test_stems_of_a_table_that_is_not_prefix_closed():
 def test_a_counted_table_is_its_own_stems(max_len):
     table = build_table({"banana": 3, "bandana": 2}, max_len=max_len)
     assert table.stems is table.probs
+
+
+def test_the_fallback_probability_cancels_on_counted_tables():
+    # a counted table holds every substring of its words, so a character
+    # it lacks lies in no key and every segmentation covers it by itself
+    rng = random.Random(19)
+    for index in range(200):
+        words = ["".join(rng.choices("abcd", k=rng.randint(1, 8))) for _ in range(rng.randint(1, 10))]
+        table = build_table({word: rng.randint(1, 50) for word in words}, max_len=(None, 2, 3)[index % 3])
+        other = replace(table, prob_eps=0.3)
+        for _ in range(10):
+            word = "".join(rng.choices("abcdxy", k=rng.randint(1, 30)))
+            weights, other_weights = subword_weights(word, table), subword_weights(word, other)
+            assert list(weights) == list(other_weights)
+            assert all(math.isclose(weights[sub], other_weights[sub], rel_tol=1e-12) for sub in weights)
+            for seg, _ in top_k_segmentations(word, table, 5):
+                assert math.isclose(
+                    segmentation_likelihood(word, seg, table), segmentation_likelihood(word, seg, other), rel_tol=1e-12
+                )
 
 
 def test_a_table_read_from_a_file_without_key_prefixes_composes_exactly():

@@ -46,13 +46,18 @@ def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         build_table({"ab": -1})
     with pytest.raises(ValueError):
-        build_table({"ab": 1}, prob_eps=0.0)
+        SubwordTable({"ab": 1.0}, prob_eps=0.0)
     with pytest.raises(ValueError):
-        build_table({"ab": 1}, prob_eps=1.0)
+        SubwordTable({"ab": 1.0}, prob_eps=1.0)
     with pytest.raises(ValueError):
         build_table({"ab": 1}, max_len=0)
     with pytest.raises(ValueError):
         build_table({"ab": 0})  # all counts zero
+
+
+def test_build_rejects_a_count_total_beyond_float_range():
+    with pytest.raises(ValueError, match="too large for a float"):
+        build_table({"ab": 10**400})
 
 
 @pytest.mark.parametrize("max_len", [0, -3, 2.0, True, "3"])
@@ -138,7 +143,7 @@ def test_table_is_usable_with_synthetic_probabilities():
     table = SubwordTable({"a": 1.0, "b": 1.0}, prob_eps=0.25)
     assert table.lookup("a") == 1.0
     assert table.lookup("c") == 0.25
-    assert "a" in table and "c" not in table
+    assert "a" in table.probs and "c" not in table.probs
     assert len(table) == 2
 
 
