@@ -1,5 +1,4 @@
 import argparse
-import json
 import os
 import stat
 import subprocess
@@ -386,7 +385,33 @@ def test_a_non_utf8_input_file_is_named(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_the_commands_import_only_the_stdlib_numpy_and_pbos(tmp_path):
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse"])
+def test_importing_the_cli_leaves_scipy_stats_unloaded(module):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys, pbos.cli; print({module!r} in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout == "False\n"
+
+
+def test_predict_leaves_scipy_sparse_unloaded(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    words = tmp_path / "words.txt"
+    words.write_text("ab\nba\n", encoding="utf-8")
+    argv = ["predict", "--model", _save_model(tmp_path / "model"), "--words", str(words), "--out", str(tmp_path / "out")]
+    program = "import sys; from pbos import cli; print(cli.main(sys.argv[1:]), 'scipy.sparse' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout == "0 False\n"
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "eval-ws"])
+def test_a_command_leaves_scipy_unloaded(tmp_path, command):
+    # and every other third-party package: a command imports only the stdlib, numpy and pbos
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     words = tmp_path / "words.txt"
@@ -394,24 +419,22 @@ def test_the_commands_import_only_the_stdlib_numpy_and_pbos(tmp_path):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("a\tb\t1.0\na\tab\t5.0\nb\tab\t4.0\n", encoding="utf-8")
     model = _save_model(tmp_path / "model")
-    commands = [
-        [*_train_inputs(tmp_path), "--epochs", "1", "--out", str(tmp_path / "trained")],
-        ["predict", "--model", model, "--words", str(words), "--out", str(tmp_path / "out")],
-        ["eval-ws", "--model", model, "--pairs", str(pairs)],
-    ]
+    argv = {
+        "train": [*_train_inputs(tmp_path), "--epochs", "1", "--out", str(tmp_path / "trained")],
+        "predict": ["predict", "--model", model, "--words", str(words), "--out", str(tmp_path / "out")],
+        "eval-ws": ["eval-ws", "--model", model, "--pairs", str(pairs)],
+    }[command]
     # a module without a __file__ is built in, such as numpy's Cython shims
     program = (
-        "import json, sys; before = set(sys.modules); from pbos import cli; "
-        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+        "import sys; before = set(sys.modules); from pbos import cli; code = cli.main(sys.argv[1:]); "
         "new = {name.split('.')[0] for name in set(sys.modules) - before}; "
-        "print(codes, sorted(name for name in new if name not in sys.stdlib_module_names "
+        "print(code, sorted(name for name in new if name not in sys.stdlib_module_names "
         "and name not in ('numpy', 'pbos') and getattr(sys.modules.get(name), '__file__', None)))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", program, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert result.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_segment_exits_2_on_a_k_above_the_bound(tmp_path, capsys):
