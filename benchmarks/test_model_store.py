@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the subword store: model save, model load, and
-compose per word and in batch, on a seeded synthetic model.
+"""Micro-benchmarks of the subword store: model save, model load, the
+subword table file's write and read, and compose per word and in batch,
+on a seeded synthetic model.
 
 The model has a subword table built from 3,000 random words over a
 10-letter alphabet (tens of thousands of subwords), a random float64
@@ -11,6 +12,9 @@ the repository root with::
 
     python -m pytest benchmarks/ --benchmark-only
 
+``test_write_subwords`` and ``test_read_subwords`` time the model's table
+in the text encoding of ``subwords.tsv``, in memory, beside the binary
+encoding that ``test_save`` and ``test_load`` time with the vectors.
 ``test_compose`` composes the query batch word by word on a fresh model
 each round, so every call runs the lattice (cold, as a first occurrence);
 ``test_compose_repeat`` composes it again on a model that has composed it
@@ -19,10 +23,13 @@ once, so every call is a lookup in the model's compose memo; and
 lattice without the memo.  Divide any of them by 200 for one word.
 """
 
+import io
+
 import numpy as np
 import pytest
 
 from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig
+from pbos.io_formats import read_subwords, write_subwords
 from pbos.subword_stats import build_table
 
 SEED = 20
@@ -59,6 +66,17 @@ def test_load(benchmark, saved):
     loaded = benchmark(PbosModel.load, saved)
     assert len(loaded.embeddings.index) > 10_000
     assert len(loaded.table) > len(loaded.embeddings.index)
+
+
+def test_write_subwords(benchmark, model):
+    benchmark(lambda: write_subwords(model.table, io.StringIO()))
+
+
+def test_read_subwords(benchmark, model):
+    text = io.StringIO()
+    write_subwords(model.table, text)
+    table = benchmark(lambda: read_subwords(io.StringIO(text.getvalue())))
+    assert table == model.table
 
 
 @pytest.fixture(scope="module")

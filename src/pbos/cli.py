@@ -141,7 +141,8 @@ def _cmd_build_subwords(args) -> int:
         _info(f"skipped {skipped} malformed frequency lines")
     if args.lowercase:
         entries = [(word.lower(), count) for word, count in entries]
-    table = build_table(entries, max_len=args.max_len)
+    with io_formats.naming(args.freqs):
+        table = build_table(entries, max_len=args.max_len)
     with io_formats.replaced(args.out) as fh:
         io_formats.write_subwords(table, fh)
     _info(f"wrote {len(table)} subwords to {args.out}")
@@ -188,6 +189,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    if not 1 <= args.k <= lattice.MAX_TOP_K:
+        raise ValueError(f"--k must be in 1..{lattice.MAX_TOP_K}, got {args.k}")
     if args.m < 1:
         raise ValueError(f"--m must be at least 1, got {args.m}")
     table = _read(args.subwords, io_formats.read_subwords)

@@ -48,8 +48,8 @@ read-only and starts with an empty memo.
 
 A model directory stores each subword once:
 
-* ``config.json``  - the :class:`TrainConfig` fields under ``"train"``, the
-  other :class:`SubwordTable` fields under ``"table"``, and ``"loss_trace"``;
+* ``config.json``  - the :class:`TrainConfig` fields under ``"train"``,
+  :func:`io_formats.table_settings` under ``"table"``, and ``"loss_trace"``;
 * ``subwords.txt`` - one subword per line (split at ``\\n`` only): those
   with a vector, in matrix row order, then those only in the table;
 * ``probs.npy``    - their table probabilities, float64; 0.0 means no
@@ -60,11 +60,11 @@ Floats are stored exactly, so a loaded model composes bit for bit the
 vectors the saved one did, and saving it again writes the same bytes.
 ``save`` writes four partial files (:func:`io_formats.replaced`), then
 replaces the four model files together, ``config.json`` last.
-``load`` memory-maps ``vectors.npy`` read-only, checks that no subword is
-listed twice and that the matrix has no more rows than there are
-subwords, leaves the matrix, the values in ``config.json`` and the
-probabilities to the checks of the store, :class:`TrainConfig` and
-:class:`SubwordTable`, and names the file in every error it raises.
+``load`` memory-maps ``vectors.npy`` read-only, checks that the matrix has
+no more rows than there are subwords, builds the table as ``read_subwords``
+does (:func:`io_formats.subword_table`), leaves the rest to the checks of
+the store, :class:`TrainConfig` and :class:`SubwordTable`, and names the
+files behind every error it raises.
 """
 
 from __future__ import annotations
@@ -76,13 +76,16 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from . import lattice
-from .io_formats import SubwordEmbeddings, TargetEmbeddings, _duplicate, naming, replaced
-from .subword_stats import ReadOnlyDict, SubwordTable
+from .io_formats import (
+    SubwordEmbeddings, TargetEmbeddings, _unique_keys, naming, replaced, subword_table, table_settings,
+)
+from .subword_stats import SubwordTable
 
 # Reserved boundary markers, assumed absent from the data alphabet.
 BOUNDARY_START = "⟨"  # ⟨
@@ -235,13 +238,6 @@ def _weighted_sum(weights: np.ndarray, gathered: np.ndarray, normalize: bool) ->
     return weights @ gathered
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    """A JSON object that holds no key twice."""
-    if len({key for key, _ in pairs}) != len(pairs):
-        raise ValueError(f"key {_duplicate([key for key, _ in pairs])!r} is repeated")
-    return dict(pairs)
-
-
 @dataclass(frozen=True)
 class PbosModel:
     """A frozen subword table plus trained subword vectors."""
@@ -304,9 +300,7 @@ class PbosModel:
         values = np.fromiter((probs.get(s, 0.0) for s in subwords), np.float64, len(subwords))
         document = {
             "train": {f.name: getattr(self.config, f.name) for f in fields(TrainConfig)},
-            "table": {
-                f.name: getattr(self.table, f.name) for f in fields(SubwordTable) if f.name != "probs"
-            },
+            "table": table_settings(self.table),
             "loss_trace": [float(value) for value in self.loss_trace],
         }
         path = Path(directory)
@@ -330,7 +324,7 @@ class PbosModel:
         with naming(path / MODEL_CONFIG_FILE) as config_path:
             document = json.loads(config_path.read_bytes(), object_pairs_hook=_unique_keys)
             config = TrainConfig(**document["train"])
-            SubwordTable({}, **document["table"])  # the table checks its fields
+            SubwordTable({}, **document["table"])  # the table checks its fields, so an error names this file
             loss_trace = document["loss_trace"]
             if not isinstance(loss_trace, list) or any(type(value) is not float for value in loss_trace):
                 raise ValueError(f"loss_trace must be a list of floats, got {loss_trace!r}")
@@ -344,10 +338,6 @@ class PbosModel:
                 raise ValueError(
                     f"expected {len(subwords)} float64 values, got {probs.shape} of {probs.dtype}"
                 )
-        with naming(subwords_path):
-            entries = ReadOnlyDict(zip(subwords, probs.tolist()))
-            if len(entries) != len(subwords):
-                raise ValueError(f"subword {_duplicate(subwords)!r} is listed twice")
         with naming(path / MODEL_MATRIX_FILE) as matrix_path:
             # np.asarray drops the np.memmap subclass, whose per-operation
             # overhead compose would pay, and keeps the mapping alive
@@ -355,11 +345,19 @@ class PbosModel:
             rows = len(matrix) if matrix.ndim == 2 else 0  # the store rejects any other shape
             if rows > len(subwords):
                 raise ValueError(f"has {rows} rows but {subwords_path} lists {len(subwords)} subwords")
-            embeddings = SubwordEmbeddings(subwords[:rows], matrix)
+        names, values, left_out = subwords, probs.tolist(), []
         if not probs[:rows].all():  # 0.0: a vector subword without a table entry
-            entries = ReadOnlyDict(item for row, item in enumerate(entries.items()) if row >= rows or item[1])
-        with naming(probs_path):
-            table = SubwordTable(entries, **document["table"])
+            kept = ((probs != 0.0) | (np.arange(len(subwords)) >= rows)).tolist()
+            names, values = list(compress(subwords, kept)), list(compress(values, kept))
+            left_out = [name for name, keep in zip(subwords, kept) if not keep]
+        with naming(subwords_path), naming(probs_path):
+            table = subword_table(names, values, document["table"])
+            # a subword the table leaves out must not be listed again after the vectors
+            twice = next(filter(table.probs.__contains__, left_out), None)
+            if twice is not None:
+                raise ValueError(f"subword {twice!r} is listed twice")
+        with naming(matrix_path):
+            embeddings = SubwordEmbeddings(subwords[:rows], matrix)
         return cls(table=table, embeddings=embeddings, config=config, loss_trace=loss_trace)
 
 

@@ -11,12 +11,13 @@ gives the targets ``train`` reads as one, and :func:`write_embeddings`
 writes the one ``predict`` composes.  The table text ``subwords.tsv``
 serves ``build-subwords``, ``train``, ``segment`` and ``eval-affix``.  A
 model keeps neither: it stores its table and the same store in binary,
-exactly (see :mod:`pbos.embedding_model`).
+exactly (see :mod:`pbos.embedding_model`).  Both files of a table carry
+one settings object, :func:`table_settings`, and both readers build the
+table with :func:`subword_table`.
 Frequency and benchmark readers skip malformed lines and count them.
 Embedding and subword files abort with :class:`FormatError` on a
 structural problem or a value no model can use: a non-finite vector
-component, or a probability outside (0, 1].  A subword file also rejects
-a repeated subword or header line.
+component, a probability outside (0, 1] or a repeated subword.
 
 Two helpers hold the file policy: :func:`naming` makes an error in reading
 a file name it, and :func:`replaced` writes a file whole or not at all.
@@ -25,11 +26,13 @@ a file name it, and :func:`replaced` writes a file whole or not at all.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 from array import array
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
+from dataclasses import fields
 from itertools import islice
 from typing import IO
 
@@ -268,89 +271,84 @@ def read_freqs(stream: IO[str]) -> tuple[list[tuple[str, int]], int]:
     return entries, skipped
 
 
-# A line is a table header only when it starts with one of these; any
-# other line, one that starts with ``#`` included, holds a subword.
-_HEADERS = ("# prob_eps\t", "# max_len\t", "# total_mass\t")
-_HEADER_SUBWORDS = frozenset(header[:-1] for header in _HEADERS)
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object that holds no key twice."""
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise ValueError(f"key {_duplicate([key for key, _ in pairs])!r} is repeated")
+    return dict(pairs)
+
+
+def table_settings(table: SubwordTable) -> dict[str, object]:
+    """The fields of ``table`` other than ``probs``: the settings line of a
+    subword file and the ``"table"`` object of a model's ``config.json``."""
+    return {f.name: getattr(table, f.name) for f in fields(SubwordTable) if f.name != "probs"}
+
+
+def subword_table(names: Collection[str], probs: Iterable[float], settings: Mapping[str, object]) -> SubwordTable:
+    """The table that gives the i-th name the i-th probability, with the
+    fields ``settings`` holds (:func:`table_settings`); a name listed twice
+    raises ``ValueError``, as do the values the table rejects."""
+    entries = ReadOnlyDict(zip(names, probs))
+    if len(entries) != len(names):
+        raise ValueError(f"subword {_duplicate(names)!r} is listed twice")
+    return SubwordTable(entries, **settings)
 
 
 def write_subwords(table: SubwordTable, stream: IO[str]) -> None:
-    """Write ``subword<TAB>probability`` lines after three header lines
-    holding the table's other fields, so a table round-trips exactly.
+    """Write the settings line ``#<TAB>`` + the JSON object of
+    :func:`table_settings`, then ``subword<TAB>probability`` lines, so a
+    table round-trips exactly.
 
-    A subword that holds a tab or newline, or that would read back as a
-    header line, raises ``ValueError`` before anything is written.
+    A subword that holds a tab or newline raises ``ValueError`` before
+    anything is written.
     """
     subwords = sorted(table.probs)
     for subword in subwords:
         if "\t" in subword or "\n" in subword:
             raise ValueError(f"subword contains a tab or newline: {subword!r}")
-    header = sorted(_HEADER_SUBWORDS.intersection(table.probs))
-    if header:
-        raise ValueError(f"subword would read back as a header line: {header[0]!r}")
-    stream.write(f"# prob_eps\t{table.prob_eps!r}\n")
-    stream.write(f"# max_len\t{'none' if table.max_len is None else table.max_len}\n")
-    stream.write(f"# total_mass\t{table.total_mass!r}\n")
+    stream.write(f"#\t{json.dumps(table_settings(table))}\n")
     probs = table.probs
     for subword in subwords:
         stream.write(f"{subword}\t{probs[subword]!r}\n")
 
 
 def read_subwords(stream: IO[str]) -> SubwordTable:
-    """Parse a file written by :func:`write_subwords`; an absent header
-    takes the :class:`SubwordTable` default.
+    """Parse a file written by :func:`write_subwords` into the table of
+    :func:`subword_table`; a file without the settings line takes the
+    :class:`SubwordTable` defaults.
 
-    A probability outside (0, 1] (nan and inf included), a header value
-    that is malformed or that :class:`SubwordTable` rejects, or a subword
-    or header listed twice raises :class:`FormatError` naming the line.
+    Only line 1 can be the settings line; a subword line holds a number,
+    which never starts with ``{``.  A malformed line or a value that is not
+    a number raises :class:`FormatError` naming the line, and what
+    :func:`subword_table` rejects raises it naming the subword or setting.
     """
-    header: dict[str, float | int | None] = {}
-    probs: ReadOnlyDict[str, float] = ReadOnlyDict()  # filled through dict.setdefault
+    settings: dict[str, object] = {}
+    names: list[str] = []
+    probs: list[float] = []
     for number, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line:
             continue
-        if line.startswith("#") and line.startswith(_HEADERS):
-            key, _, value = line[2:].partition("\t")
-            if key in header:
-                raise FormatError(f"line {number}: repeated header {key!r}")
-            if key == "max_len":
-                header[key] = None if value == "none" else _parse_int(value, number)
-            else:
-                header[key] = _parse_float(value, number)
+        if number == 1 and line.startswith("#\t{"):
             try:
-                SubwordTable({}, **{key: header[key]})  # the table checks its fields
+                settings = json.loads(line[2:], object_pairs_hook=_unique_keys)
             except ValueError as exc:
-                raise FormatError(f"line {number}: {exc}") from None
+                raise FormatError(f"line 1: {exc}") from None
             continue
         subword, sep, value = line.partition("\t")
         if not sep or not subword:
             raise FormatError(f"line {number}: malformed subword line: {line!r}")
-        prob = _parse_float(value, number)
-        if not 0.0 < prob <= 1.0:
-            raise FormatError(
-                f"line {number}: probability of {subword!r} must be in (0, 1], got {value!r}"
-            )
-        # prob is a new float object, so only a new subword stores and returns it
-        if dict.setdefault(probs, subword, prob) is not prob:
-            raise FormatError(f"line {number}: repeated subword {subword!r}")
-    if not probs:
+        try:
+            probs.append(float(value))
+        except ValueError:
+            raise FormatError(f"line {number}: not a number: {value!r}") from None
+        names.append(subword)
+    if not names:
         raise FormatError("subword file contains no subwords")
-    return SubwordTable(probs, **header)
-
-
-def _parse_float(text: str, number: int) -> float:
     try:
-        return float(text)
-    except ValueError:
-        raise FormatError(f"line {number}: not a number: {text!r}") from None
-
-
-def _parse_int(text: str, number: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"line {number}: not an integer: {text!r}") from None
+        return subword_table(names, probs, settings)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(str(exc)) from None
 
 
 def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import stat
 import subprocess
@@ -24,7 +25,7 @@ def test_segment_exits_2_on_a_nan_probability(tmp_path, capsys):
     code = cli.main(["segment", "--subwords", str(subwords), "ab"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_DATA
-    assert "line 2" in captured.err
+    assert f"{subwords}: subword 'b' has probability nan" in captured.err
     assert captured.out == ""
 
 
@@ -241,15 +242,23 @@ def test_every_subcommand_help_exits_0(capsys):
 
 
 @pytest.mark.parametrize("earlier", [None, "# prob_eps\t0.25\nab\t0.5\n"])
-def test_build_subwords_leaves_no_partial_table(tmp_path, capsys, earlier):
+def test_build_subwords_leaves_no_partial_table(tmp_path, capsys, monkeypatch, earlier):
     freqs = tmp_path / "freqs.csv"
-    freqs.write_text("# prob_eps,5\nabc,3\n", encoding="utf-8")
+    freqs.write_text("abc,3\n", encoding="utf-8")
     out = tmp_path / "subwords.tsv"
     if earlier is not None:
         out.write_text(earlier, encoding="utf-8")
+
+    write_subwords = io_formats.write_subwords
+
+    def write_then_fail(table, stream):  # a disk that fills up after the whole table
+        write_subwords(table, stream)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(io_formats, "write_subwords", write_then_fail)
     code = cli.main(["build-subwords", "--freqs", str(freqs), "--out", str(out)])
     assert code == cli.EXIT_DATA
-    assert "'# prob_eps'" in capsys.readouterr().err
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
     if earlier is None:
         assert not out.exists()
     else:
@@ -263,8 +272,31 @@ def test_build_subwords_exits_2_on_a_count_total_beyond_float_range(tmp_path, ca
     code = cli.main(["build-subwords", "--freqs", str(freqs), "--out", str(tmp_path / "subwords.tsv")])
     captured = capsys.readouterr()
     assert code == cli.EXIT_DATA
-    assert captured.err.startswith("pbos: ")
+    assert captured.err == f"pbos: {freqs}: the count total is too large for a float\n"
     assert [path.name for path in tmp_path.iterdir()] == ["freqs.tsv"]
+
+
+def test_build_subwords_names_the_frequency_file_when_no_count_is_left(tmp_path, capsys):
+    freqs = tmp_path / "freqs.csv"
+    freqs.write_text("abc,-3\n", encoding="utf-8")
+    code = cli.main(["build-subwords", "--freqs", str(freqs), "--out", str(tmp_path / "subwords.tsv")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines()[-1] == f"pbos: {freqs}: empty frequency list"
+    assert [path.name for path in tmp_path.iterdir()] == ["freqs.csv"]
+
+
+def test_build_subwords_writes_the_table_that_read_subwords_and_a_model_give_back(tmp_path, capsys):
+    freqs = tmp_path / "freqs.tsv"
+    freqs.write_text("banana\t3\nbandana\t7\nnab,2\n", encoding="utf-8")
+    subwords = tmp_path / "subwords.tsv"
+    assert cli.main(["build-subwords", "--freqs", str(freqs), "--max-len", "4", "--out", str(subwords)]) == cli.EXIT_OK
+    built = build_table({"banana": 3, "bandana": 7, "nab": 2}, max_len=4)
+    with open(subwords, encoding="utf-8") as fh:  # as the benchmark's segment check reads it
+        table = io_formats.read_subwords(fh)
+    assert table == built
+    assert (table.max_len, table.total_mass) == (4, built.total_mass)  # the settings compare too
+    PbosModel(table, SubwordEmbeddings(["ban"], np.ones((1, 2))), TrainConfig()).save(tmp_path / "model")
+    assert PbosModel.load(tmp_path / "model").table == table
 
 
 def _save_model(directory):
@@ -438,12 +470,21 @@ def test_a_command_leaves_scipy_unloaded(tmp_path, command):
 
 
 def test_segment_exits_2_on_a_k_above_the_bound(tmp_path, capsys):
-    subwords = tmp_path / "subwords.tsv"
-    subwords.write_text("a\t0.5\nb\t0.5\n", encoding="utf-8")
-    code = cli.main(["segment", "--subwords", str(subwords), "--k", str(MAX_TOP_K + 1), "ab"])
+    missing = tmp_path / "subwords.tsv"  # --k is checked before the table is read
+    code = cli.main(["segment", "--subwords", str(missing), "--k", str(MAX_TOP_K + 1), "ab"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_DATA
-    assert str(MAX_TOP_K) in captured.err
+    assert captured.err == f"pbos: --k must be in 1..{MAX_TOP_K}, got {MAX_TOP_K + 1}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("k", [-1, 0])
+def test_segment_exits_2_on_a_k_below_1(tmp_path, capsys, k):
+    missing = tmp_path / "subwords.tsv"  # --k is checked before the table is read
+    code = cli.main(["segment", "--subwords", str(missing), "--k", str(k), "ab"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == f"pbos: --k must be in 1..{MAX_TOP_K}, got {k}\n"
     assert captured.out == ""
 
 

@@ -1,5 +1,6 @@
 import copy
 import gc
+import io
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from pbos.embedding_model import (
     train,
     weight_matrix,
 )
-from pbos.io_formats import TargetEmbeddings
+from pbos.io_formats import TargetEmbeddings, read_subwords
 from pbos.subword_stats import ReadOnlyDict, SubwordTable, build_table
 
 UNIT = SubwordTable({"a": 1.0, "b": 1.0, "ab": 1.0})
@@ -920,3 +921,34 @@ def test_load_errors_name_the_file(tmp_path, damage, name):
         PbosModel.load(tmp_path)
     assert str(tmp_path / name) in str(caught.value)
     assert ("missing key 'loss_trace'" in str(caught.value)) is (damage is DROP_LOSS_TRACE)
+
+
+@pytest.mark.parametrize("subwords_text", ["c\nb\nc\n", "c\nc\na\n", "c\nb\nb\n"])
+def test_load_rejects_a_subword_listed_twice_beside_one_without_a_table_entry(tmp_path, subwords_text):
+    # "c" has a vector but no table entry, so the table leaves it out
+    table = SubwordTable({"b": 0.25, "a": 0.5})
+    make_model(table, vectors={"c": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}).save(tmp_path)
+    (tmp_path / "subwords.txt").write_text(subwords_text, encoding="utf-8")
+    with pytest.raises(ValueError, match="listed twice") as caught:
+        PbosModel.load(tmp_path)
+    assert str(tmp_path / "subwords.txt") in str(caught.value)
+
+
+# The same bad table given to both readers: the subword file and a model.
+@pytest.mark.parametrize("subwords_tsv, damage, message", [
+    ("a\t0.5\nb\t0.5\na\t0.25\n", _write("subwords.txt", "a\nb\na\n"), "subword 'a' is listed twice"),
+    ("a\t0.5\nb\t1.5\nab\t0.25\n", _edit_probs(lambda p: np.array([0.5, 1.5, 0.25])),
+     "subword 'b' has probability 1.5; it must be in (0, 1]"),
+    ('#\t{"max_len": 0}\na\t0.5\nb\t0.5\nab\t0.25\n', _edit_config(lambda c: c["table"].update(max_len=0)),
+     "max_len must be None or an int >= 1, got 0"),
+], ids=["repeated", "probability", "max_len"])
+def test_both_table_readers_reject_a_bad_table_with_one_message(tmp_path, subwords_tsv, damage, message):
+    with pytest.raises(ValueError) as from_file:
+        read_subwords(io.StringIO(subwords_tsv))
+    vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+    make_model(SubwordTable({"a": 0.5, "b": 0.5, "ab": 0.25}), vectors=vectors).save(tmp_path)
+    damage(tmp_path)
+    with pytest.raises(ValueError) as from_model:
+        PbosModel.load(tmp_path)
+    assert str(from_file.value) == message
+    assert str(from_model.value).endswith(f": {message}")

@@ -190,13 +190,23 @@ def test_subwords_starting_with_a_hash_round_trip():
 
 
 @pytest.mark.parametrize("subword", ["# prob_eps", "# max_len", "# total_mass"])
-def test_write_subwords_rejects_a_subword_that_reads_as_a_header(subword):
-    with pytest.raises(ValueError, match="header"):
-        write_subwords(SubwordTable({subword: 0.5, "a": 0.5}), io.StringIO())
+def test_a_subword_named_like_a_table_setting_round_trips(subword):
+    table = SubwordTable({subword: 0.5, "a": 0.5}, prob_eps=0.02, max_len=3)
+    buffer = io.StringIO()
+    write_subwords(table, buffer)
+    assert buffer.getvalue().startswith('#\t{"prob_eps": 0.02, "max_len": 3, "total_mass": 0.0}\n')
+    assert read_subwords(io.StringIO(buffer.getvalue())) == table
 
 
 def test_read_subwords_without_headers_takes_the_table_defaults():
     assert read_subwords(io.StringIO("a\t0.5\n")) == SubwordTable({"a": 0.5})
+    # a first line that holds a number holds a subword
+    assert read_subwords(io.StringIO("#\t0.5\na\t0.5\n")) == SubwordTable({"#": 0.5, "a": 0.5})
+
+
+def _settings_line(text):
+    """The settings line holding the JSON object ``text``."""
+    return f"#\t{text}\n"
 
 
 def test_read_subwords_rejects_empty_and_malformed():
@@ -204,36 +214,47 @@ def test_read_subwords_rejects_empty_and_malformed():
         read_subwords(io.StringIO(""))
     with pytest.raises(FormatError):
         read_subwords(io.StringIO("nocolumns\n"))
+    with pytest.raises(FormatError, match="line 1: "):
+        read_subwords(io.StringIO(_settings_line('{"prob_eps": 0.5') + "a\t0.5\n"))
+    with pytest.raises(FormatError, match="line 2: not a number"):
+        read_subwords(io.StringIO("a\t0.5\n" + _settings_line('{"prob_eps": 0.5}')))
+    with pytest.raises(FormatError, match="max_length"):
+        read_subwords(io.StringIO(_settings_line('{"max_length": 3}') + "a\t0.5\n"))
 
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "0.0", "-0.25", "1.5", "x"])
 def test_read_subwords_rejects_bad_probabilities_by_line(value):
-    text = f"# prob_eps\t0.01\na\t0.5\nb\t{value}\n"
-    with pytest.raises(FormatError, match="line 3"):
+    text = _settings_line('{"prob_eps": 0.01}') + f"a\t0.5\nb\t{value}\n"
+    message = "line 3: not a number" if value == "x" else f"subword 'b' has probability {float(value)!r}"
+    with pytest.raises(FormatError, match=message):
         read_subwords(io.StringIO(text))
+
+
+def _json_number(text):
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 @pytest.mark.parametrize("value", ["0", "1", "1.0", "-0.5", "nan", "inf"])
 def test_read_subwords_rejects_prob_eps_outside_open_unit_interval(value):
-    text = f"a\t0.5\n# prob_eps\t{value}\n"
-    with pytest.raises(FormatError, match="line 2"):
+    text = _settings_line(f'{{"prob_eps": {_json_number(value)}}}') + "a\t0.5\n"
+    with pytest.raises(FormatError, match="prob_eps must be"):
         read_subwords(io.StringIO(text))
 
 
 @pytest.mark.parametrize("value, message", [
-    ("x", "not an integer"), ("2.0", "not an integer"), ("0", "max_len"), ("-3", "max_len"),
+    ("x", "line 1"), ("2.0", "max_len"), ("0", "max_len"), ("-3", "max_len"),
 ])
 def test_read_subwords_rejects_a_bad_max_len_by_line(value, message):
-    text = f"a\t0.5\n# max_len\t{value}\n"
-    with pytest.raises(FormatError, match=f"line 2: {message}"):
+    text = _settings_line(f'{{"max_len": {value}}}') + "a\t0.5\n"
+    with pytest.raises(FormatError, match=message):
         read_subwords(io.StringIO(text))
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_read_subwords_rejects_a_bad_total_mass_by_line(value):
-    text = f"a\t0.5\n# total_mass\t{value}\n"
-    with pytest.raises(FormatError, match="line 2: total_mass"):
+    text = _settings_line(f'{{"total_mass": {_json_number(value)}}}') + "a\t0.5\n"
+    with pytest.raises(FormatError, match="total_mass must be"):
         read_subwords(io.StringIO(text))
 
 
@@ -242,8 +263,8 @@ def test_read_subwords_accepts_probability_one():
 
 
 @pytest.mark.parametrize("text, message", [
-    ("a\t0.5\nb\t0.5\na\t0.25\n", "line 3: repeated subword 'a'"),
-    ("# prob_eps\t0.01\na\t0.5\n# prob_eps\t0.02\n", "line 3: repeated header 'prob_eps'"),
+    ("a\t0.5\nb\t0.5\na\t0.25\n", "subword 'a' is listed twice"),
+    (_settings_line('{"prob_eps": 0.01, "prob_eps": 0.02}') + "a\t0.5\n", "line 1: key 'prob_eps' is repeated"),
 ], ids=["subword", "header"])
 def test_read_subwords_rejects_a_repeated_line(text, message):
     with pytest.raises(FormatError, match=message):

@@ -283,8 +283,9 @@ def test_the_fallback_probability_cancels_on_counted_tables():
 
 
 def test_a_table_read_from_a_file_without_key_prefixes_composes_exactly():
-    text = "# prob_eps\t0.05\nabc\t0.25\nb\t0.5\ncabca\t0.125\n"
+    text = '#\t{"prob_eps": 0.05}\nabc\t0.25\nb\t0.5\ncabca\t0.125\n'
     table = read_subwords(io.StringIO(text))
+    assert table.prob_eps == 0.05
     assert table.stems is not table.probs
     for word in ("abcab", "cabcabc", "xabcx"):
         assert_matches_oracles(word, table, k=4)
