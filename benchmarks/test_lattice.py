@@ -1,5 +1,6 @@
 """Micro-benchmarks of the segmentation lattice: ``subword_weights`` over
-a seeded batch of long compounds.
+a seeded batch of long compounds, and ``weight_matrix`` over those
+compounds plus 1,000 seeded short words.
 
 The table is built from 3,000 random words of 4-12 letters over a
 10-letter alphabet; the batch holds 100 compounds of 40-130 characters
@@ -16,17 +17,22 @@ repository root with::
 
     python -m pytest benchmarks/ --benchmark-only
 
-Each test times the whole batch; divide by 100 for one word.
+Each ``subword_weights`` test times the whole batch; divide by 100 for
+one word.  ``test_weight_matrix_counted_table`` times one batch of 1,100
+words, which ``weight_matrix`` passes in arrays (``lattice.weight_rows``),
+with the columns found as ``train`` finds them (``extend``).
 """
 
 import numpy as np
 import pytest
 
+from pbos.embedding_model import TrainConfig, weight_matrix
 from pbos.lattice import subword_weights
 from pbos.subword_stats import SubwordTable, build_table
 
 SEED = 30
 COMPOUNDS = 100
+SHORT_WORDS = 1000
 LETTERS = np.array(list("abcdefghij"))
 
 
@@ -77,3 +83,18 @@ def test_weights_counted_table(benchmark, counted, compounds):
 def test_weights_table_without_prefixes(benchmark, without_prefixes, compounds):
     weights = benchmark(_batch, without_prefixes, compounds)
     assert len(weights) == COMPOUNDS
+
+
+@pytest.fixture(scope="module")
+def mixed(compounds):
+    rng = np.random.default_rng(SEED + 2)
+    return compounds + [_word(rng, 4, 13) for _ in range(SHORT_WORDS)]
+
+
+def _matrix(table, words):
+    return weight_matrix(words, table, TrainConfig(), {}, extend=True)
+
+
+def test_weight_matrix_counted_table(benchmark, counted, mixed):
+    indptr, _, _ = benchmark(_matrix, counted, mixed)
+    assert len(indptr) == COMPOUNDS + SHORT_WORDS + 1

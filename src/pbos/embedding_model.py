@@ -28,12 +28,17 @@ holds the target vectors ``train``, :func:`loss` and
 :func:`gradient_check` read and the vectors ``predict`` writes.
 
 A model composes words one way: :func:`weight_matrix`, the only caller
-of :func:`composition_weights`, reads their weights into the word x
-subword weight matrix ``W``; a word's vector is ``_weighted_sum`` of its
-row and the matrix rows it indexes.  :meth:`PbosModel.compose_many` reads
-``W`` of a batch (``predict``, ``eval-ws``, :func:`loss`) without touching
-the memo, and :meth:`PbosModel.compose` memoizes the row of a one-word
-batch.  ``train`` and ``gradient_check`` read ``W`` of the targets.
+of :func:`composition_weights` and :func:`lattice.weight_rows`, reads
+their weights into the word x subword weight matrix ``W``; a word's
+vector is ``_weighted_sum`` of its row and the matrix rows it indexes.
+:meth:`PbosModel.compose_many` reads ``W`` of a batch (``predict``,
+``eval-ws``, :func:`loss`) without touching the memo, and
+:meth:`PbosModel.compose` memoizes the row of a one-word batch.  ``train``
+and ``gradient_check`` read ``W`` of the targets.  A batch of more than
+one word takes its lattice weights from :func:`lattice.weight_rows`, all
+words at once in arrays; one word, and every ``bos`` batch, reads
+:func:`composition_weights`.  Both give the same bits, so a word's row of
+``W`` does not depend on the batch it is in.
 
 A word's vector is a pure function of its spelling and the model, so
 ``compose`` memoizes it in a dict field of the model, word -> vector,
@@ -209,7 +214,15 @@ def weight_matrix(
     ``columns``, so columns number subwords in first-seen order; otherwise
     (``compose_many``) subwords not in ``columns`` are dropped.  ``W`` has
     ``len(columns)`` columns.
+
+    A batch of more than one word takes its lattice weights from
+    :func:`lattice.weight_rows`, which gives the bits of
+    :func:`composition_weights` in about half the time; one word, and
+    every ``bos`` batch, reads :func:`composition_weights`.
     """
+    words = list(words)
+    if len(words) > 1 and config.variant is not Variant.BOS:
+        return lattice.weight_rows(words, table, columns, extend=extend)
     # lists append faster than arrays; arrays hold a batch in 16 bytes an entry
     indptr, indices, data = array("q", [0]), array("q"), array("d")
     get = columns.get

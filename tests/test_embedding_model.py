@@ -5,15 +5,19 @@ import itertools
 import json
 import math
 import pickle
+import re
 import sys
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbos import cli, embedding_model
+from pbos import cli, embedding_model, lattice
 from pbos.embedding_model import (
     BOUNDARY_END,
     BOUNDARY_START,
@@ -239,6 +243,100 @@ def test_compose_many_matches_compose_word_by_word(variant):
     # "zzq" has no subword with a vector
     assert not batch[BATCH_WORDS.index("zzq")].any()
     assert not model.compose("zzq").any()
+
+
+def _word_by_word(words, table, config, columns, extend):
+    """``weight_matrix`` of ``words`` from one-word batches, which take the
+    scalar lattice pass."""
+    rows = [weight_matrix([word], table, config, columns, extend=extend) for word in words]
+    indptr = np.cumsum([0] + [len(indices) for _, indices, _ in rows], dtype=np.int64)
+    return indptr, np.concatenate([row[1] for row in rows]), np.concatenate([row[2] for row in rows])
+
+
+@st.composite
+def lattice_batches(draw):
+    """Words of 1-300 characters, one of them repeated, and a table over
+    some of their substrings with probabilities down to 1e-300; with
+    ``build_table`` the table is prefix-closed, otherwise it rarely is."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    lengths = st.one_of(st.integers(1, 8), st.integers(9, 40), st.integers(150, 300))
+    words = draw(st.lists(
+        lengths.flatmap(lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)).map("".join),
+        min_size=2, max_size=6,
+    ))
+    words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(words)))
+    if draw(st.booleans()):
+        return words, build_table({word: 1 for word in words})
+    substrings = sorted({word[i:j] for word in words for i in range(len(word)) for j in range(i + 1, min(i + 6, len(word)) + 1)})
+    keys = draw(st.lists(st.sampled_from(substrings), unique=True, max_size=40))
+    probs = draw(st.lists(st.floats(1e-300, 1.0), min_size=len(keys), max_size=len(keys)))
+    return words, SubwordTable(dict(zip(keys, probs)), prob_eps=draw(st.sampled_from([1e-300, 1e-8, 0.01, 0.5])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_batches(), st.data())
+def test_a_batch_weight_matrix_is_its_one_word_batches_byte_for_byte(batch, data):
+    words, table = batch
+    config = TrainConfig()
+    substrings = sorted({word[i:j] for word in words for i in range(len(word)) for j in range(i + 1, min(i + 3, len(word)) + 1)})
+    known = data.draw(st.lists(st.sampled_from(substrings), unique=True, max_size=8))
+    for extend in (True, False):
+        columns = {subword: column for column, subword in enumerate(known)}
+        one_by_one = dict(columns)
+        arrays = weight_matrix(words, table, config, columns, extend=extend)
+        expected = _word_by_word(words, table, config, one_by_one, extend)
+        for array, want in zip(arrays, expected):
+            assert (array.dtype, array.tobytes()) == (want.dtype, want.tobytes())
+        assert list(columns.items()) == list(one_by_one.items())
+
+
+def test_a_subword_whose_first_spans_have_zero_mass_gets_its_column_where_it_first_has_weight():
+    # in "ab" the spans "a" and "b" have mass 1e-400 next to "ab": zero as floats
+    table = SubwordTable({"a": 1e-200, "b": 1e-200, "ab": 1.0})
+    words = ["ab", "ba", "a"]
+    columns, one_by_one = {"c": 0}, {"c": 0}
+    arrays = weight_matrix(words, table, TrainConfig(), columns, extend=True)
+    expected = _word_by_word(words, table, TrainConfig(), one_by_one, True)
+    assert list(columns) == list(one_by_one) == ["c", "ab", "b", "a"]
+    for array, want in zip(arrays, expected):
+        assert array.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["", "a" * (lattice.MAX_WORD_LEN + 1)], ids=["empty", "too-long"])
+def test_a_batch_with_a_word_the_lattice_rejects_raises_its_error(bad):
+    table = build_table({"abc": 2, "cab": 1})
+    with pytest.raises(ValueError) as rejected:
+        lattice.subword_weights(bad, table)
+    columns: dict[str, int] = {}
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+        weight_matrix(["abc", bad, "cab"], table, TrainConfig(), columns, extend=True)
+    assert columns == {}
+    model = make_model(table, vectors={"a": np.ones(2)})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+        model.compose_many(["abc", bad])
+
+
+def test_compose_many_takes_a_one_shot_iterator():
+    model = _batch_model(Variant.PBOS)
+    batch = model.compose_many(iter(BATCH_WORDS))
+    assert batch.tobytes() == model.compose_many(BATCH_WORDS).tobytes()
+
+
+def test_a_batch_of_underflowing_words_raises_no_floating_point_warning():
+    # 300-character words whose partition is far below the smallest float
+    rng = np.random.default_rng(3)
+    words = ["".join(rng.choice(list("abcd"), size=n)) for n in (300, 1, 150, 7, 300)]
+    table = SubwordTable({"ab": 1e-300, "abc": 1e-200, "d": 5e-324, "cd": 0.5}, prob_eps=1e-300)
+    assert lattice.partition(words[0], table) == 0.0
+    columns: dict[str, int] = {}
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        arrays = weight_matrix(words, table, TrainConfig(), columns, extend=True)
+    assert np.isfinite(arrays[2]).all() and arrays[2].all()
+    one_by_one: dict[str, int] = {}
+    for array, want in zip(arrays, _word_by_word(words, table, TrainConfig(), one_by_one, True)):
+        assert array.tobytes() == want.tobytes()
+    assert list(columns) == list(one_by_one)
 
 
 # --- the compose memo and the immutable model inputs ------------------------------

@@ -24,6 +24,7 @@ from pbos.lattice import (
     segmentation_likelihood,
     subword_weights,
     top_k_segmentations,
+    weight_rows,
 )
 from pbos.subword_stats import SubwordTable, build_table
 
@@ -158,6 +159,29 @@ def test_underflowed_partition_falls_back_to_log_space():
     assert partition(word, table) == 0.0
     assert weights == pytest.approx({"z": 1.0})
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_weight_rows_hold_the_bits_and_order_of_subword_weights():
+    rng = random.Random(9)
+    instances = [random_instance(rng, max_len=24) for _ in range(30)]
+    # one table over all the words, so that their subwords share columns
+    table = SubwordTable({sub: prob for _, t in instances for sub, prob in t.probs.items()}, prob_eps=1e-3)
+    words = [word for word, _ in instances] + ["ab" * 100, instances[0][0]]
+    columns: dict[str, int] = {}
+    indptr, indices, data = weight_rows(words, table, columns, extend=True)
+    names = list(columns)
+    for row, word in enumerate(words):
+        lo, hi = indptr[row], indptr[row + 1]
+        entries = list(zip([names[column] for column in indices[lo:hi]], data[lo:hi].tolist()))
+        assert entries == list(subword_weights(word, table).items()), word
+    # without extend the columns stay as they are and the other subwords drop out
+    kept = dict(itertools.islice(columns.items(), 0, None, 2))
+    indptr, indices, data = weight_rows(words, table, kept, extend=False)
+    assert len(kept) == (len(columns) + 1) // 2
+    for row, word in enumerate(words):
+        lo, hi = indptr[row], indptr[row + 1]
+        expected = [(kept[sub], weight) for sub, weight in subword_weights(word, table).items() if sub in kept]
+        assert list(zip(indices[lo:hi].tolist(), data[lo:hi].tolist())) == expected, word
 
 
 def exact_weights(word, table):
