@@ -20,7 +20,10 @@ repository root with::
 Each ``subword_weights`` test times the whole batch; divide by 100 for
 one word.  ``test_weight_matrix_counted_table`` times one batch of 1,100
 words, which ``weight_matrix`` passes in arrays (``lattice.weight_rows``),
-with the columns found as ``train`` finds them (``extend``).
+with the columns found as ``train`` finds them (``extend``);
+``test_weight_matrix_known_columns`` times the same batch against the
+columns that pass found, without ``extend``, as ``predict`` reads a
+model's columns.
 """
 
 import numpy as np
@@ -98,3 +101,10 @@ def _matrix(table, words):
 def test_weight_matrix_counted_table(benchmark, counted, mixed):
     indptr, _, _ = benchmark(_matrix, counted, mixed)
     assert len(indptr) == COMPOUNDS + SHORT_WORDS + 1
+
+
+def test_weight_matrix_known_columns(benchmark, counted, mixed):
+    columns: dict[str, int] = {}
+    found = weight_matrix(mixed, counted, TrainConfig(), columns, extend=True)
+    arrays = benchmark(weight_matrix, mixed, counted, TrainConfig(), columns)
+    assert all(array.tobytes() == want.tobytes() for array, want in zip(arrays, found))

@@ -136,6 +136,8 @@ def _read(path: str, reader):
 
 
 def _cmd_build_subwords(args) -> int:
+    if args.max_len is not None and args.max_len < 1:
+        raise ValueError(f"--max-len must be at least 1, got {args.max_len}")
     entries, skipped = _read(args.freqs, io_formats.read_freqs)
     if skipped:
         _info(f"skipped {skipped} malformed frequency lines")
@@ -166,13 +168,19 @@ def _cmd_train(args) -> int:
 
 def _query_words(stream) -> list[str]:
     """The distinct stripped lines of ``stream`` (split at ``\\n`` only),
-    each one a token ``write_embeddings`` can write."""
-    words = list(dict.fromkeys(w.strip() for w in stream.read().split("\n") if w.strip()))
+    each one a token ``write_embeddings`` can write and no longer than
+    the lattice takes."""
+    words: dict[str, None] = {}
+    for number, line in enumerate(stream.read().split("\n"), 1):
+        word = line.strip()
+        if word:
+            io_formats.check_query_word(word, number)
+            words[word] = None
     if not words:
         raise ValueError("empty query word list")
     for word in words:
         io_formats.check_token(word)
-    return words
+    return list(words)
 
 
 def _cmd_predict(args) -> int:
@@ -207,10 +215,10 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_eval_ws(args) -> int:
-    model = PbosModel.load(args.model)
     pairs, skipped = _read(args.pairs, io_formats.read_similarity_pairs)
     if not pairs:
         raise ValueError(f"no usable pairs in {args.pairs}")
+    model = PbosModel.load(args.model)
     rho = word_similarity(model, pairs)
     _info(f"Spearman rho {rho:.4f} over {len(pairs)} pairs ({skipped} lines skipped)")
     print(f"pairs\t{len(pairs)}")

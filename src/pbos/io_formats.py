@@ -14,7 +14,9 @@ model keeps neither: it stores its table and the same store in binary,
 exactly (see :mod:`pbos.embedding_model`).  Both files of a table carry
 one settings object, :func:`table_settings`, and both readers build the
 table with :func:`subword_table`.
-Frequency and benchmark readers skip malformed lines and count them.
+Frequency and benchmark readers skip malformed lines and count them; a
+similarity pair's word longer than the lattice takes is an error naming
+its line, found before any model is read.
 Embedding and subword files abort with :class:`FormatError` on a
 structural problem or a value no model can use: a non-finite vector
 component, a probability outside (0, 1] or a repeated subword.
@@ -39,6 +41,7 @@ from typing import IO
 import numpy as np
 
 from .evaluation import Affix, AffixInstance, SimilarityPair
+from .lattice import MAX_WORD_LEN
 from .subword_stats import ReadOnlyDict, SubwordTable
 
 
@@ -216,6 +219,13 @@ def check_token(token: str) -> None:
         raise ValueError(f"token is empty or contains whitespace: {token!r}")
 
 
+def check_query_word(word: str, line: int) -> None:
+    """Reject a query word longer than the lattice takes
+    (``lattice.MAX_WORD_LEN``), naming its line."""
+    if len(word) > MAX_WORD_LEN:
+        raise ValueError(f"line {line}: word of length {len(word)} exceeds the guard of {MAX_WORD_LEN}")
+
+
 def write_embeddings(vectors: SubwordEmbeddings, stream: IO[str]) -> None:
     """Write word2vec text format at 9 significant digits (``predict``
     output; models are saved in binary).
@@ -354,10 +364,11 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
 def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:
     """Parse ``word1<TAB>word2<TAB>score`` lines; ``#`` comments and blank
     lines are skipped, malformed lines and non-finite scores skipped and
-    counted."""
+    counted.  A word the lattice would reject for its length raises
+    ``ValueError`` naming its line."""
     pairs: list[SimilarityPair] = []
     skipped = 0
-    for raw in stream:
+    for number, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -372,6 +383,8 @@ def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:
         if not math.isfinite(score):
             skipped += 1
             continue
+        check_query_word(fields[0], number)
+        check_query_word(fields[1], number)
         pairs.append(SimilarityPair(word1=fields[0], word2=fields[1], human_score=score))
     return pairs, skipped
 

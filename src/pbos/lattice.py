@@ -40,8 +40,11 @@ The pass has two forms with the same bits.  ``_scaled_pass`` takes one
 word, span by span in Python floats; ``subword_weights``, top-k and the
 likelihoods read it, and so does a batch of one word (``compose``).
 ``weight_rows`` takes a batch of words (``predict``, ``train``): it looks
-up the spans in the same way, then runs both recursions as numpy array
-operations over a block of words at once, one round per position.  A
+up the spans in the same way, longest word first, then runs both
+recursions as numpy array operations over a block of words at once, one
+round per position.  For ``train`` the batch's new subwords take their
+columns after the pass, in the order of their first weight in the
+batch, so a subword whose spans all have zero mass gets none.  A
 forward round pushes each finished sum along its start's spans, which
 all end at different positions, with the rescaling rule of
 ``_scaled_pass`` applied elementwise.  A backward round adds each start's
@@ -249,24 +252,25 @@ def weight_rows(
     it, so that columns number subwords in first-seen order.
 
     A word that ``subword_weights`` rejects raises the same ``ValueError``
-    before any work is done.  The spans are looked up as in
-    ``_scaled_pass``, word after word.  A word then waits for its pass
-    with the words whose length has the same bit length, and such a block
-    is passed once it holds ``_BLOCK_SPANS`` spans, so the rounds of a
-    block, one per position of its longest word, serve words of about
-    that length.  What waits at the end is passed longest first.
+    before any work is done.  The words are looked up longest first (a
+    stable sort on length), their spans as in ``_scaled_pass``, into one
+    block that is passed whenever it holds ``_BLOCK_SPANS`` spans and once
+    at the end, so the rounds of a block, one per position of its longest
+    word, serve words of about that length.  With ``extend`` the lookups
+    give a new subword a provisional column; after the pass the new
+    subwords take their columns in the order of their first entry in
+    batch order, and one whose every span has zero mass gets none.
     """
     for word in words:
         _check_word(word)
     get, stems, eps = table.probs.get, table.stems, table.prob_eps
     find, known = columns.get, len(columns)
-    waiting = [_Block() for _ in range(MAX_WORD_LEN.bit_length() + 1)]
+    block = _Block()
     counts = np.zeros(len(words), np.int64)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per block: words, columns, weights
-    zero = False
-    for w, word in enumerate(words):
+    for w in sorted(range(len(words)), key=lambda w: len(words[w]), reverse=True):
+        word = words[w]
         n = len(word)
-        block = waiting[n.bit_length()]
         block.words.append(w)
         firsts, probs, ends, keys = block.firsts, block.probs, block.ends, block.keys
         for i in range(n):
@@ -288,16 +292,9 @@ def weight_rows(
                 ends.append(j)
                 keys.append(key)
         if len(probs) >= _BLOCK_SPANS:
-            zero |= block.flush(words, counts, parts)
-    # what waits is passed longest first, in blocks that take in shorter
-    # words while they hold fewer than _BLOCK_SPANS spans
-    rest = _Block()
-    for block in reversed(waiting):
-        if len(rest.probs) + len(block.probs) > _BLOCK_SPANS and rest.words:
-            zero |= rest.flush(words, counts, parts)
-        rest.take(block)
-    if rest.words:
-        zero |= rest.flush(words, counts, parts)
+            block.flush(words, counts, parts)
+    if block.words:
+        block.flush(words, counts, parts)
     indptr = np.zeros(len(words) + 1, np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices, data = np.empty(indptr[-1], np.int64), np.empty(indptr[-1])
@@ -305,7 +302,7 @@ def weight_rows(
         batch, key, weights = parts.pop()
         entries = _ranges(indptr[batch], counts[batch])
         indices[entries], data[entries] = key, weights
-    if extend and zero:
+    if extend:
         _renumber(columns, known, indices)
     return indptr, indices, data
 
@@ -323,18 +320,9 @@ class _Block:
         self.ends: list[int] = []
         self.keys: list[int] = []
 
-    def take(self, other: _Block) -> None:
-        """Append the lookups of ``other``."""
-        self.words += other.words
-        self.firsts.extend(first + len(self.probs) for first in other.firsts)
-        self.probs += other.probs
-        self.ends += other.ends
-        self.keys += other.keys
-
-    def flush(self, words: Sequence[str], counts: np.ndarray, parts: list) -> bool:
+    def flush(self, words: Sequence[str], counts: np.ndarray, parts: list) -> None:
         """Pass the block: set its words' entry counts in ``counts``, append
-        their columns and weights to ``parts``, and start empty again.
-        Returns whether a span had zero mass."""
+        their columns and weights to ``parts``, and start empty again."""
         batch = np.array(self.words)
         lens = np.fromiter((len(words[w]) for w in self.words), np.int32, len(batch))
         probs, ends, key = np.array(self.probs), np.array(self.ends, np.int32), np.array(self.keys, np.int32)
@@ -342,8 +330,7 @@ class _Block:
         self.__init__()
         masses, totals, span_word = _array_pass(lens, per_start, probs, ends)
         # a subword's nonzero masses, summed per word in span order, first seen first
-        carried = masses != 0.0
-        kept = np.flatnonzero(carried & (key >= 0))
+        kept = np.flatnonzero((masses != 0.0) & (key >= 0))
         span_word, key = span_word[kept], key[kept]
         width = int(key.max(initial=0)) + 1
         _, seen_at, merged_at = np.unique(
@@ -356,7 +343,6 @@ class _Block:
         counts[batch] = np.bincount(span_word[seen], minlength=len(batch))
         with np.errstate(under="ignore"):
             parts.append((batch, key[seen], merged[order] / totals[span_word[seen]]))
-        return not carried.all()
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -366,20 +352,25 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _renumber(columns: dict[str, int], known: int, indices: np.ndarray) -> None:
-    """Renumber the columns from ``known`` on, which the lookups added in
+    """Renumber the columns from ``known`` on, which the lookups gave in
     the order of their first span, in the order of their first entry in
-    ``indices``; a subword whose every span has zero mass is left out."""
-    added = indices >= known
-    new, first = np.unique(indices[added], return_index=True)
-    new = new[np.argsort(first)]
-    names = list(itertools.islice(columns, known, None))
-    for name in names:
-        del columns[name]
-    for column in new.tolist():
-        columns[names[column - known]] = len(columns)
-    renumbered = np.zeros(len(names), np.int64)
-    renumbered[new - known] = np.arange(known, known + len(new))
-    indices[added] = renumbered[indices[added] - known]
+    ``indices``; a subword whose every span has zero mass is left out.
+    The first ``known`` entries keep their order and values."""
+    first = np.full(len(columns), len(indices))
+    np.minimum.at(first, indices, np.arange(len(indices)))
+    new = known + np.flatnonzero(first[known:] < len(indices))
+    new = new[np.argsort(first[new])]
+    renumbered = np.arange(len(columns))
+    renumbered[new] = np.arange(known, known + len(new))
+    indices[:] = renumbered[indices]
+    names = np.fromiter(itertools.islice(columns, known, None), object, len(columns) - known)[new - known]
+    kept = list(itertools.islice(columns.items(), known))
+    # refilled whole: deleting the new entries one at a time is slower;
+    # the arrays are freed first, as memory peaks while the dict grows
+    del first, new, renumbered
+    columns.clear()
+    columns.update(kept)
+    columns.update(zip(names, range(known, known + len(names))))
 
 
 def _array_pass(

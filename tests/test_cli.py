@@ -15,7 +15,7 @@ import pytest
 from pbos import cli, io_formats
 from pbos.embedding_model import PbosModel, SubwordEmbeddings, TrainConfig, Variant, bos_subword_counts
 from pbos.evaluation import evaluate_affix_dataset, filter_affix_dataset, word_similarity
-from pbos.lattice import MAX_TOP_K
+from pbos.lattice import MAX_TOP_K, MAX_WORD_LEN
 from pbos.subword_stats import SubwordTable, build_table
 
 
@@ -348,6 +348,30 @@ def test_predict_checks_the_words_file_before_it_reads_the_model(tmp_path, capsy
     assert captured.out == ""
 
 
+def test_predict_rejects_an_over_long_word_by_file_and_line_before_it_reads_the_model(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text(f"ab\n{'a' * MAX_WORD_LEN}\n\n{'b' * (MAX_WORD_LEN + 1)}\n", encoding="utf-8")
+    code = cli.main(["predict", "--model", str(tmp_path / "missing"), "--words", str(words)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == (
+        f"pbos: {words}: line 4: word of length {MAX_WORD_LEN + 1} exceeds the guard of {MAX_WORD_LEN}\n"
+    )
+    assert captured.out == ""
+
+
+def test_eval_ws_rejects_an_over_long_word_by_file_and_line_before_it_reads_the_model(tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"# words\na\tb\t1.0\nab\t{'a' * (MAX_WORD_LEN + 1)}\t2.0\n", encoding="utf-8")
+    code = cli.main(["eval-ws", "--model", str(tmp_path / "missing"), "--pairs", str(pairs)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == (
+        f"pbos: {pairs}: line 3: word of length {MAX_WORD_LEN + 1} exceeds the guard of {MAX_WORD_LEN}\n"
+    )
+    assert captured.out == ""
+
+
 def test_predict_out_through_a_symlink_replaces_its_target(tmp_path):
     model = _save_model(tmp_path / "model")
     words = tmp_path / "words.txt"
@@ -486,6 +510,16 @@ def test_segment_exits_2_on_a_k_below_1(tmp_path, capsys, k):
     assert code == cli.EXIT_DATA
     assert captured.err == f"pbos: --k must be in 1..{MAX_TOP_K}, got {k}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("max_len", [-1, 0])
+def test_build_subwords_checks_max_len_before_reading_the_frequencies(tmp_path, capsys, max_len):
+    missing = tmp_path / "freqs.csv"  # --max-len is checked before the list is read
+    code = cli.main(["build-subwords", "--freqs", str(missing), "--max-len", str(max_len), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == f"pbos: --max-len must be at least 1, got {max_len}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("m", [-1, 0])

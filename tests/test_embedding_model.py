@@ -273,10 +273,10 @@ def lattice_batches(draw):
     return words, SubwordTable(dict(zip(keys, probs)), prob_eps=draw(st.sampled_from([1e-300, 1e-8, 0.01, 0.5])))
 
 
-@settings(max_examples=60, deadline=None)
-@given(lattice_batches(), st.data())
-def test_a_batch_weight_matrix_is_its_one_word_batches_byte_for_byte(batch, data):
-    words, table = batch
+def _assert_one_word_batches(words, table, data):
+    """``weight_matrix`` of ``words`` is that of its one-word batches, byte
+    for byte and in column order, with and without ``extend``, from drawn
+    known columns."""
     config = TrainConfig()
     substrings = sorted({word[i:j] for word in words for i in range(len(word)) for j in range(i + 1, min(i + 3, len(word)) + 1)})
     known = data.draw(st.lists(st.sampled_from(substrings), unique=True, max_size=8))
@@ -288,6 +288,22 @@ def test_a_batch_weight_matrix_is_its_one_word_batches_byte_for_byte(batch, data
         for array, want in zip(arrays, expected):
             assert (array.dtype, array.tobytes()) == (want.dtype, want.tobytes())
         assert list(columns.items()) == list(one_by_one.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_batches(), st.data())
+def test_a_batch_weight_matrix_is_its_one_word_batches_byte_for_byte(batch, data):
+    _assert_one_word_batches(*batch, data)
+
+
+@pytest.mark.parametrize("block_spans", [1, 7, 60])
+@settings(max_examples=60, deadline=None)
+@given(batch=lattice_batches(), data=st.data())
+def test_a_batch_passed_in_several_blocks_is_its_one_word_batches_byte_for_byte(block_spans, batch, data):
+    # blocks this small are passed mid-batch, and their rows scattered back
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "_BLOCK_SPANS", block_spans)
+        _assert_one_word_batches(*batch, data)
 
 
 def test_a_subword_whose_first_spans_have_zero_mass_gets_its_column_where_it_first_has_weight():
