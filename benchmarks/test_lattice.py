@@ -23,7 +23,11 @@ words, which ``weight_matrix`` passes in arrays (``lattice.weight_rows``),
 with the columns found as ``train`` finds them (``extend``);
 ``test_weight_matrix_known_columns`` times the same batch against the
 columns that pass found, without ``extend``, as ``predict`` reads a
-model's columns.
+model's columns.  ``test_weight_matrix_with_fallback_words`` adds 20
+words of 150-300 characters over letters the table lacks: every span of
+such a word has probability ``prob_eps``, so its path sums fall to or
+below the least normal float, and ``weight_rows`` gives it the weights
+of the scaled one-word pass.
 """
 
 import numpy as np
@@ -36,7 +40,9 @@ from pbos.subword_stats import SubwordTable, build_table
 SEED = 30
 COMPOUNDS = 100
 SHORT_WORDS = 1000
+FALLBACK_WORDS = 20
 LETTERS = np.array(list("abcdefghij"))
+ABSENT = np.array(list("klmnop"))
 
 
 def _word(rng, low, high):
@@ -108,3 +114,14 @@ def test_weight_matrix_known_columns(benchmark, counted, mixed):
     found = weight_matrix(mixed, counted, TrainConfig(), columns, extend=True)
     arrays = benchmark(weight_matrix, mixed, counted, TrainConfig(), columns)
     assert all(array.tobytes() == want.tobytes() for array, want in zip(arrays, found))
+
+
+@pytest.fixture(scope="module")
+def with_fallback(mixed):
+    rng = np.random.default_rng(SEED + 3)
+    return mixed + ["".join(rng.choice(ABSENT, size=rng.integers(150, 301))) for _ in range(FALLBACK_WORDS)]
+
+
+def test_weight_matrix_with_fallback_words(benchmark, counted, with_fallback):
+    indptr, _, _ = benchmark(_matrix, counted, with_fallback)
+    assert len(indptr) == COMPOUNDS + SHORT_WORDS + FALLBACK_WORDS + 1

@@ -138,11 +138,9 @@ def _read(path: str, reader):
 def _cmd_build_subwords(args) -> int:
     if args.max_len is not None and args.max_len < 1:
         raise ValueError(f"--max-len must be at least 1, got {args.max_len}")
-    entries, skipped = _read(args.freqs, io_formats.read_freqs)
+    entries, skipped = _read(args.freqs, lambda fh: io_formats.read_freqs(fh, lowercase=args.lowercase))
     if skipped:
         _info(f"skipped {skipped} malformed frequency lines")
-    if args.lowercase:
-        entries = [(word.lower(), count) for word, count in entries]
     with io_formats.naming(args.freqs):
         table = build_table(entries, max_len=args.max_len)
     with io_formats.replaced(args.out) as fh:
@@ -153,10 +151,10 @@ def _cmd_build_subwords(args) -> int:
 
 def _cmd_train(args) -> int:
     config = TrainConfig(**{setting.name: getattr(args, setting.name) for setting in fields(TrainConfig)})
-    table = _read(args.subwords, io_formats.read_subwords)
     targets, duplicates = _read(args.target, io_formats.read_embeddings)
     if duplicates:
         _info(f"skipped {duplicates} duplicate target tokens")
+    table = _read(args.subwords, io_formats.read_subwords)
     model = train(
         targets, table, config,
         on_epoch=lambda epoch, value: print(f"{epoch}\t{value:.9g}"),
@@ -228,7 +226,6 @@ def _cmd_eval_ws(args) -> int:
 
 
 def _cmd_eval_affix(args) -> int:
-    table = _read(args.subwords, io_formats.read_subwords)
     inventory, bad_inventory = _read(args.inventory, io_formats.read_affix_inventory)
     if not inventory:
         raise ValueError(f"no usable affixes in {args.inventory}")
@@ -236,6 +233,7 @@ def _cmd_eval_affix(args) -> int:
     kept = filter_affix_dataset(instances, inventory)
     if not kept:
         raise ValueError("no instances remain after filtering")
+    table = _read(args.subwords, io_formats.read_subwords)
     precision, recall, f1 = evaluate_affix_dataset(
         kept, inventory, predictor=args.predictor, table=table, seed=args.seed
     )

@@ -14,9 +14,10 @@ model keeps neither: it stores its table and the same store in binary,
 exactly (see :mod:`pbos.embedding_model`).  Both files of a table carry
 one settings object, :func:`table_settings`, and both readers build the
 table with :func:`subword_table`.
-Frequency and benchmark readers skip malformed lines and count them; a
-similarity pair's word longer than the lattice takes is an error naming
-its line, found before any model is read.
+Frequency and benchmark readers skip malformed lines and count them.  A
+word longer than the lattice takes, in any file a command reads words
+from, is an error naming its line or record, found while the file is
+read, before any table is built or model read.
 Embedding and subword files abort with :class:`FormatError` on a
 structural problem or a value no model can use: a non-finite vector
 component, a probability outside (0, 1] or a repeated subword.
@@ -189,6 +190,7 @@ def read_embeddings(stream: IO[str]) -> tuple[SubwordEmbeddings, int]:
         token = fields[0]
         if not token:
             raise FormatError(f"record {record + 1} has an empty token")
+        check_query_word(token, record + 1, "record")
         try:
             row = [float(x) for x in fields[1:]]
         except ValueError:
@@ -219,11 +221,11 @@ def check_token(token: str) -> None:
         raise ValueError(f"token is empty or contains whitespace: {token!r}")
 
 
-def check_query_word(word: str, line: int) -> None:
-    """Reject a query word longer than the lattice takes
-    (``lattice.MAX_WORD_LEN``), naming its line."""
+def check_query_word(word: str, number: int, unit: str = "line") -> None:
+    """Reject a word longer than the lattice takes
+    (``lattice.MAX_WORD_LEN``), naming its line (or other ``unit``)."""
     if len(word) > MAX_WORD_LEN:
-        raise ValueError(f"line {line}: word of length {len(word)} exceeds the guard of {MAX_WORD_LEN}")
+        raise ValueError(f"{unit} {number}: word of length {len(word)} exceeds the guard of {MAX_WORD_LEN}")
 
 
 def write_embeddings(vectors: SubwordEmbeddings, stream: IO[str]) -> None:
@@ -247,15 +249,17 @@ def write_embeddings(vectors: SubwordEmbeddings, stream: IO[str]) -> None:
         stream.write(template % (token, *row.tolist()))
 
 
-def read_freqs(stream: IO[str]) -> tuple[list[tuple[str, int]], int]:
-    """Parse ``word,count`` or tab-separated frequency lines.
+def read_freqs(stream: IO[str], *, lowercase: bool = False) -> tuple[list[tuple[str, int]], int]:
+    """Parse ``word,count`` or tab-separated frequency lines, with
+    ``lowercase`` lowercasing each word.
 
     Returns the entries plus a count of malformed lines skipped.  Blank
-    lines are ignored without counting.
+    lines are ignored without counting.  A word longer than the lattice
+    takes raises ``ValueError`` naming its line.
     """
     entries: list[tuple[str, int]] = []
     skipped = 0
-    for raw in stream:
+    for number, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
@@ -277,6 +281,9 @@ def read_freqs(stream: IO[str]) -> tuple[list[tuple[str, int]], int]:
         if count < 0:
             skipped += 1
             continue
+        if lowercase:
+            word = word.lower()
+        check_query_word(word, number)
         entries.append((word, count))
     return entries, skipped
 
@@ -364,8 +371,9 @@ def read_subwords(stream: IO[str]) -> SubwordTable:
 def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:
     """Parse ``word1<TAB>word2<TAB>score`` lines; ``#`` comments and blank
     lines are skipped, malformed lines and non-finite scores skipped and
-    counted.  A word the lattice would reject for its length raises
-    ``ValueError`` naming its line."""
+    counted.  A word whose lowercase, which ``word_similarity`` composes,
+    the lattice would reject for its length raises ``ValueError`` naming
+    its line."""
     pairs: list[SimilarityPair] = []
     skipped = 0
     for number, raw in enumerate(stream, 1):
@@ -383,8 +391,8 @@ def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:
         if not math.isfinite(score):
             skipped += 1
             continue
-        check_query_word(fields[0], number)
-        check_query_word(fields[1], number)
+        check_query_word(fields[0].lower(), number)
+        check_query_word(fields[1].lower(), number)
         pairs.append(SimilarityPair(word1=fields[0], word2=fields[1], human_score=score))
     return pairs, skipped
 
@@ -415,11 +423,12 @@ def read_affix_instances(
     stream: IO[str], inventory: Iterable[Affix]
 ) -> tuple[list[AffixInstance], int]:
     """Parse ``word<TAB>label`` lines, resolving labels against the
-    inventory; lines with unknown labels are skipped and counted."""
+    inventory; lines with unknown labels are skipped and counted.  A word
+    longer than the lattice takes raises ``ValueError`` naming its line."""
     by_text = {affix.text: affix for affix in inventory}
     instances: list[AffixInstance] = []
     skipped = 0
-    for raw in stream:
+    for number, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -428,5 +437,6 @@ def read_affix_instances(
         if not sep or not word or label not in by_text:
             skipped += 1
             continue
+        check_query_word(word, number)
         instances.append(AffixInstance(word=word, gold=by_text[label]))
     return instances, skipped

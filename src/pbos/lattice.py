@@ -42,22 +42,17 @@ likelihoods read it, and so does a batch of one word (``compose``).
 ``weight_rows`` takes a batch of words (``predict``, ``train``): it looks
 up the spans in the same way, longest word first, then runs both
 recursions as numpy array operations over a block of words at once, one
-round per position.  For ``train`` the batch's new subwords take their
-columns after the pass, in the order of their first weight in the
-batch, so a subword whose spans all have zero mass gets none.  A
-forward round pushes each finished sum along its start's spans, which
-all end at different positions, with the rescaling rule of
-``_scaled_pass`` applied elementwise.  A backward round adds each start's
-terms by ascending end, as ``_scaled_pass`` does, with ``np.add.at``,
-which adds in array order (numpy's pairwise sums would not), after
-shifting all of them to the start's largest exponent instead of
-rescaling the partial sum whenever a larger one arrives.  The shifts are
-exact in the normal range, so the two can differ only in a term below
-2**-1022 of the largest, which rounds away next to it in either order.
-Masses, totals and weights repeat the scalar operations in their order.
-On 5,000 words the array form is about twice as fast; one word at a
-time it is five to eight times slower, so a batch of one keeps the
-scalar pass.
+round per position, in plain floats and in the order of ``_scaled_pass``.
+Wherever every product and every mass over the partition is a normal
+float, the plain floats are the scaled ones times a power of two, so the
+weights have the same bits.  One cheap bound per word decides that (see
+``_array_pass``); a word that fails it takes its weights from
+``_scaled_pass``, so the array form holds no exponents.  For ``train``
+the batch's new subwords take their columns after the pass, in the order
+of their first weight in the batch, so a subword whose spans all have
+zero mass gets none.  On 5,000 words the array form is about twice as
+fast; one word at a time it is five to eight times slower, so a batch of
+one keeps the scalar pass.
 
 The k most likely segmentations come from a left-to-right DP that keeps a
 k-best list per position (Huang & Chiang, "Better k-best parsing", 2005).
@@ -93,11 +88,6 @@ _Sums = tuple[list[float], list[int]]
 
 # The exponent an empty sum starts from, below that of any float product.
 _EMPTY_EXP = -sys.maxsize
-
-# The array pass keeps exponents in int32 (what np.frexp returns): an
-# empty sum starts from this one, whose distance to any exponent of a
-# guarded word still fits.
-_EMPTY_EXP32 = -(2**30)
 
 # Spans the array pass holds at once: a block of words is passed once its
 # lookups reach this many.  Larger blocks pay the rounds of a pass over
@@ -259,7 +249,9 @@ def weight_rows(
     word, serve words of about that length.  With ``extend`` the lookups
     give a new subword a provisional column; after the pass the new
     subwords take their columns in the order of their first entry in
-    batch order, and one whose every span has zero mass gets none.
+    batch order, and one whose every span has zero mass gets none.  A
+    word whose plain floats may not be exact (see ``_array_pass``) takes
+    its weights from ``_scaled_pass``, at the columns its lookups found.
     """
     for word in words:
         _check_word(word)
@@ -268,6 +260,7 @@ def weight_rows(
     block = _Block()
     counts = np.zeros(len(words), np.int64)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per block: words, columns, weights
+    inexact: list[int] = []  # words whose plain floats may not be exact
     for w in sorted(range(len(words)), key=lambda w: len(words[w]), reverse=True):
         word = words[w]
         n = len(word)
@@ -292,9 +285,15 @@ def weight_rows(
                 ends.append(j)
                 keys.append(key)
         if len(probs) >= _BLOCK_SPANS:
-            block.flush(words, counts, parts)
+            inexact += block.flush(words, counts, parts)
     if block.words:
-        block.flush(words, counts, parts)
+        inexact += block.flush(words, counts, parts)
+    for w in inexact:
+        weights = _scaled_pass(words[w], table)[3]
+        row = [sub for sub in weights if sub in columns]
+        counts[w] = len(row)
+        key = np.array([columns[sub] for sub in row], np.int64)
+        parts.append((np.array([w]), key, np.array([weights[sub] for sub in row])))
     indptr = np.zeros(len(words) + 1, np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices, data = np.empty(indptr[-1], np.int64), np.empty(indptr[-1])
@@ -320,17 +319,19 @@ class _Block:
         self.ends: list[int] = []
         self.keys: list[int] = []
 
-    def flush(self, words: Sequence[str], counts: np.ndarray, parts: list) -> None:
+    def flush(self, words: Sequence[str], counts: np.ndarray, parts: list) -> list[int]:
         """Pass the block: set its words' entry counts in ``counts``, append
-        their columns and weights to ``parts``, and start empty again."""
+        their columns and weights to ``parts``, and start empty again.
+        Returns the words whose plain floats may not be exact, which get
+        no entries here."""
         batch = np.array(self.words)
         lens = np.fromiter((len(words[w]) for w in self.words), np.int32, len(batch))
         probs, ends, key = np.array(self.probs), np.array(self.ends, np.int32), np.array(self.keys, np.int32)
         per_start = np.diff(np.frombuffer(self.firsts, np.int32), append=len(probs))
         self.__init__()
-        masses, totals, span_word = _array_pass(lens, per_start, probs, ends)
-        # a subword's nonzero masses, summed per word in span order, first seen first
-        kept = np.flatnonzero((masses != 0.0) & (key >= 0))
+        masses, totals, span_word, exact = _array_pass(lens, per_start, probs, ends)
+        # a subword's masses, summed per word in span order, first seen first
+        kept = np.flatnonzero(exact[span_word] & (key >= 0))
         span_word, key = span_word[kept], key[kept]
         width = int(key.max(initial=0)) + 1
         _, seen_at, merged_at = np.unique(
@@ -342,7 +343,8 @@ class _Block:
         seen = seen_at[order]
         counts[batch] = np.bincount(span_word[seen], minlength=len(batch))
         with np.errstate(under="ignore"):
-            parts.append((batch, key[seen], merged[order] / totals[span_word[seen]]))
+            parts.append((batch[exact], key[seen], merged[order] / totals[span_word[seen]]))
+        return batch[~exact].tolist()
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -375,12 +377,24 @@ def _renumber(columns: dict[str, int], known: int, indices: np.ndarray) -> None:
 
 def _array_pass(
     lens: np.ndarray, per_start: np.ndarray, probs: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both recursions over the words of ``lens``, from the span counts of
-    their starts and the probabilities and ends of their spans, in the
-    order of the lookups.  Returns each span's mass, scaled by a power of
-    two per word, each word's total of them, in span order, and each
-    span's word."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both recursions over the words of ``lens`` in plain floats, from the
+    span counts of their starts and the probabilities and ends of their
+    spans, in the order of the lookups.  Returns each span's mass, each
+    word's total of them, in span order, each span's word, and per word
+    whether its masses are those of ``_scaled_pass`` times a power of two.
+
+    They are when every product the pass forms is a normal float, and so
+    is every mass over the word's partition Z, as ``_scaled_pass`` holds
+    them.  A mass is a product forward * probability * backward, and the
+    backward sum is 1 at the word's end and the forward sum 1 at its
+    start, so ``min(fwd) * min(p) * min(bwd) >= 4 * tiny * max(1, Z)``
+    (tiny the least normal float) bounds every product, sum and mass from
+    below by 4 * tiny and every mass over Z by 2 * tiny, with room for
+    rounding.  The sums add their terms in the order of ``_scaled_pass``;
+    its rescalings drop only terms below 2**-1022 of a sum, which round
+    away in both forms.  No sum overflows: a word's path sums are at most
+    its 2**(n-1) segmentations."""
     lens = lens.astype(np.int32)
     # positions 0..n of every word in one flat array; a start is a position < n
     word_pos = np.cumsum(lens + 1, dtype=np.int32) - (lens + 1)
@@ -390,49 +404,29 @@ def _array_pass(
     span_word = np.repeat(start_word, per_start)
     begin = np.repeat(start_pos, per_start)
     end = word_pos[span_word] + ends
-    mant, expo = np.frexp(probs)
-    bwd_m, bwd_e = np.empty(len(start_pos) + len(lens)), np.empty(len(start_pos) + len(lens), np.int32)
-    bwd_m[word_pos + lens], bwd_e[word_pos + lens] = math.frexp(1.0)
-    fwd_m, fwd_e = np.empty_like(bwd_m), np.empty_like(bwd_e)
+    fwd, bwd = np.zeros(len(start_pos) + len(lens)), np.empty(len(start_pos) + len(lens))
+    fwd[word_pos], bwd[word_pos + lens] = 1.0, 1.0
     with np.errstate(under="ignore"):
-        # Backward: round d finishes the starts d before their word's end.
-        # Each start's terms are added by ascending end, relative to the
-        # largest exponent among them; _scaled_pass adds them in the same
-        # order and rescales as larger ones arrive (module docstring).
-        for pos, at, firsts, to, span_m, span_e in _rounds(
-            lens[start_word] - start_at, per_start, start_pos, end, mant, expo
-        ):
-            top = span_e + bwd_e[to]
-            peak = np.maximum.reduceat(top, firsts)
+        # Backward: round d finishes the starts d before their word's end,
+        # each adding its terms by ascending end; np.add.at adds in array
+        # order (numpy's pairwise sums would not).
+        for pos, at, to, prob in _rounds(lens[start_word] - start_at, per_start, start_pos, end, probs):
             total = np.zeros(len(pos))
-            np.add.at(total, at, np.ldexp(span_m * bwd_m[to], top - peak[at]))
-            bwd_m[pos], shift = np.frexp(total)
-            bwd_e[pos] = shift + peak
-        # Forward: round i finishes the forward sums at the i-th starts and
-        # pushes them along their spans, whose ends differ, into the pending
-        # sums pend_m * 2**pend_e with the rule of _scaled_pass: the pending
-        # sum and the term are both shifted to the larger exponent.
-        pend_m, pend_e = np.zeros_like(bwd_m), np.full_like(bwd_e, _EMPTY_EXP32)
-        pend_m[word_pos], pend_e[word_pos] = 1.0, 0
-        for pos, at, _, to, span_m, span_e in _rounds(start_at, per_start, start_pos, end, mant, expo):
-            left, left_e = np.frexp(pend_m[pos])
-            left_e += pend_e[pos]
-            fwd_m[pos], fwd_e[pos] = left, left_e
-            term = left[at] * span_m
-            top, pending = span_e + left_e[at], pend_e[to]
-            high = np.maximum(top, pending)
-            pend_m[to] = np.ldexp(pend_m[to], pending - high) + np.ldexp(term, top - high)
-            pend_e[to] = high
+            np.add.at(total, at, prob * bwd[to])
+            bwd[pos] = total
+        # Forward: round i pushes the forward sums of the i-th starts along
+        # their spans, whose ends differ.
+        for pos, at, to, prob in _rounds(start_at, per_start, start_pos, end, probs):
+            fwd[to] += fwd[pos][at] * prob
+        first_span = (np.cumsum(per_start) - per_start)[np.cumsum(lens) - lens]
+        low = np.minimum.reduceat(fwd, word_pos) * np.minimum.reduceat(probs, first_span)
+        low *= np.minimum.reduceat(bwd, word_pos)
         # in place, as (forward * probability) * backward, the order of _scaled_pass
-        mant *= fwd_m[begin]
-        expo += fwd_e[begin]
-        expo -= bwd_e[word_pos][span_word]
-        expo += bwd_e[end]
-        mant *= bwd_m[end]
-        masses = np.ldexp(mant, expo, out=mant)
+        masses = np.multiply(probs, fwd[begin], out=probs)
+        masses *= bwd[end]
         totals = np.zeros(len(lens))
         np.add.at(totals, span_word, masses)
-    return masses, totals, span_word
+    return masses, totals, span_word, low >= 4 * sys.float_info.min * np.maximum(1.0, bwd[word_pos])
 
 
 def _rounds(
@@ -440,9 +434,9 @@ def _rounds(
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """The rounds of a pass, one per value of the starts' ``key`` from the
     least up: the positions of the round's starts, per span the index of
-    its start in the round, per start the index of its first span, and
-    the round's part of each of ``span_arrays``, start after start and
-    each start's spans in their order."""
+    its start in the round, and the round's part of each of
+    ``span_arrays``, start after start and each start's spans in their
+    order."""
     order = np.argsort(key, kind="stable")
     sizes = per_start[order]
     counts = np.bincount(key)
@@ -451,13 +445,12 @@ def _rounds(
     spans_lo = np.concatenate((first, [first[-1] + sizes[-1]]))[starts_lo]
     spans = np.repeat((np.cumsum(per_start) - per_start)[order] - first, sizes) + np.arange(sizes.sum())
     rank = np.repeat(np.arange(len(order)) - np.repeat(starts_lo[:-1], counts), sizes)
-    firsts = first - np.repeat(spans_lo[:-1], counts)
     pos = start_pos[order]
     span_arrays = [array[spans] for array in span_arrays]
     starts_lo, spans_lo = starts_lo.tolist(), spans_lo.tolist()
     for k in range(int(key.min()), len(counts)):
         a, b, c, d = starts_lo[k], starts_lo[k + 1], spans_lo[k], spans_lo[k + 1]
-        yield (pos[a:b], rank[c:d], firsts[a:b], *(array[c:d] for array in span_arrays))
+        yield (pos[a:b], rank[c:d], *(array[c:d] for array in span_arrays))
 
 
 def segmentation_likelihood(

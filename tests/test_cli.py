@@ -372,6 +372,66 @@ def test_eval_ws_rejects_an_over_long_word_by_file_and_line_before_it_reads_the_
     assert captured.out == ""
 
 
+def _over_long(path, line):
+    return f"pbos: {path}: {line}: word of length {MAX_WORD_LEN + 1} exceeds the guard of {MAX_WORD_LEN}\n"
+
+
+def test_eval_ws_rejects_a_word_whose_lowercase_is_over_long_before_it_reads_the_model(tmp_path, capsys):
+    # "İ" lowercases to two characters, and word_similarity composes the lowercase
+    word = "İ" * (MAX_WORD_LEN // 2) + "a"
+    assert len(word) <= MAX_WORD_LEN < len(word.lower()) == MAX_WORD_LEN + 1
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"a\tb\t1.0\nab\t{word}\t2.0\n", encoding="utf-8")
+    code = cli.main(["eval-ws", "--model", str(tmp_path / "missing"), "--pairs", str(pairs)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == _over_long(pairs, "line 2")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lowercase", [False, True])
+def test_build_subwords_rejects_an_over_long_word_by_file_and_line_before_it_builds_the_table(
+    tmp_path, capsys, monkeypatch, lowercase
+):
+    # with --lowercase the word counted is the lowercase, one character longer here
+    word = "İ" + "a" * (MAX_WORD_LEN - 1) if lowercase else "a" * (MAX_WORD_LEN + 1)
+    freqs = tmp_path / "freqs.tsv"
+    freqs.write_text(f"ab\t3\nnot a line\n\n{word}\t2\n", encoding="utf-8")
+    out = tmp_path / "subwords.tsv"
+    monkeypatch.setattr(cli, "build_table", lambda *args, **kwargs: pytest.fail("the table was built"))
+    code = cli.main(["build-subwords", "--freqs", str(freqs), "--out", str(out), *(["--lowercase"] * lowercase)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == _over_long(freqs, "line 4")
+    assert not out.exists()
+
+
+def test_train_rejects_an_over_long_target_by_file_and_record_before_it_reads_the_table(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text(f"2 2\nab 1.0 -1.0\n{'a' * (MAX_WORD_LEN + 1)} 0.5 0.5\n", encoding="utf-8")
+    out = tmp_path / "model"
+    code = cli.main([
+        "train", "--target", str(target), "--subwords", str(tmp_path / "missing"), "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == _over_long(target, "record 2")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_eval_affix_rejects_an_over_long_word_by_file_and_line_before_it_reads_the_table(tmp_path, capsys):
+    _, inventory, data = _affix_inputs(tmp_path)
+    data.write_text(f"regravely\tre\n# comment\n{'re' + 'a' * (MAX_WORD_LEN - 1)}\tre\n", encoding="utf-8")
+    code = cli.main([
+        "eval-affix", "--subwords", str(tmp_path / "missing"), "--inventory", str(inventory), "--data", str(data),
+    ])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == _over_long(data, "line 3")
+    assert captured.out == ""
+
+
 def test_predict_out_through_a_symlink_replaces_its_target(tmp_path):
     model = _save_model(tmp_path / "model")
     words = tmp_path / "words.txt"
@@ -637,6 +697,28 @@ def _affix_inputs(tmp_path):
         encoding="utf-8",
     )
     return subwords, inventory, data
+
+
+@pytest.mark.parametrize("case", ["no-pairs", "no-affixes", "none-kept"])
+def test_an_evaluation_with_nothing_to_score_exits_2_before_it_reads_the_model_or_table(tmp_path, capsys, case):
+    _, inventory, data = _affix_inputs(tmp_path)
+    missing = str(tmp_path / "missing")
+    if case == "no-pairs":
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("# only a comment\na\tb\nc\td\tnan\n", encoding="utf-8")
+        argv, message = ["eval-ws", "--model", missing, "--pairs", str(pairs)], f"no usable pairs in {pairs}"
+    else:
+        if case == "no-affixes":
+            inventory.write_text("# affixes\nre\tinfix\nly\n", encoding="utf-8")
+            message = f"no usable affixes in {inventory}"
+        else:
+            data.write_text("kindly\tly\nregrave\tre\n", encoding="utf-8")  # one possible affix each
+            message = "no instances remain after filtering"
+        argv = ["eval-affix", "--subwords", missing, "--inventory", str(inventory), "--data", str(data)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert (captured.err, captured.out) == (f"pbos: {message}\n", "")
 
 
 @pytest.mark.parametrize("predictor", ["pbos", "random"])

@@ -318,6 +318,45 @@ def test_a_subword_whose_first_spans_have_zero_mass_gets_its_column_where_it_fir
         assert array.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("extend", [True, False])
+def test_a_mass_that_is_normal_only_before_division_by_a_partition_above_1_takes_the_scaled_pass(extend):
+    # the span of the whole first word has mass 2**-1000 against a partition
+    # near 2**103, so its scaled mass and weight are 0.0; the plain mass is not
+    table = SubwordTable({"a": 1.0, "aa": 1.0, "a" * 150: 2.0**-1000})
+    words = ["a" * 150, "aa"]
+    assert lattice.partition(words[0], table) > 2.0**100
+    assert "a" * 150 not in lattice.subword_weights(words[0], table)
+    known = {} if extend else {"a": 0, "aa": 1, "a" * 150: 2}
+    columns, one_by_one = dict(known), dict(known)
+    arrays = weight_matrix(words, table, TrainConfig(), columns, extend=extend)
+    expected = _word_by_word(words, table, TrainConfig(), one_by_one, extend)
+    for array, want in zip(arrays, expected):
+        assert (array.dtype, array.tobytes()) == (want.dtype, want.tobytes())
+    assert list(columns.items()) == list(one_by_one.items()) == list({"a": 0, "aa": 1, **known}.items())
+
+
+def test_a_batch_takes_the_scaled_pass_only_for_the_words_whose_plain_floats_may_not_be_exact(monkeypatch):
+    rng = np.random.default_rng(5)
+    table = build_table({"".join(rng.choice(list("abcde"), size=8)): 1 for _ in range(200)})
+    short = ["".join(rng.choice(list("abcde"), size=n)) for n in (3, 8, 12, 20, 5)]
+    # no key holds "z", so each of its 300 spans has probability prob_eps: 0.01**300 underflows
+    long = "z" * 300
+    assert lattice.partition(long, table) == 0.0
+    called: list[str] = []
+    scaled_pass = lattice._scaled_pass
+    monkeypatch.setattr(lattice, "_scaled_pass", lambda word, table: called.append(word) or scaled_pass(word, table))
+    weight_matrix(short, table, TrainConfig(), {}, extend=True)
+    assert called == []
+    columns: dict[str, int] = {}
+    arrays = weight_matrix([*short[:2], long, *short[2:]], table, TrainConfig(), columns, extend=True)
+    assert called == [long]
+    monkeypatch.setattr(lattice, "_scaled_pass", scaled_pass)
+    one_by_one: dict[str, int] = {}
+    for array, want in zip(arrays, _word_by_word([*short[:2], long, *short[2:]], table, TrainConfig(), one_by_one, True)):
+        assert array.tobytes() == want.tobytes()
+    assert list(columns) == list(one_by_one)
+
+
 @pytest.mark.parametrize("bad", ["", "a" * (lattice.MAX_WORD_LEN + 1)], ids=["empty", "too-long"])
 def test_a_batch_with_a_word_the_lattice_rejects_raises_its_error(bad):
     table = build_table({"abc": 2, "cab": 1})
@@ -741,6 +780,22 @@ def test_gradient_check_small_on_random_instances():
         for variant in (Variant.PBOS, Variant.BOS):
             model = make_model(table, dim=4, variant=variant)
             assert gradient_check(model, targets, h=1e-5, seed=seed) < 1e-4
+
+
+def test_gradient_check_samples_at_most_max_coords_per_word_coordinates_per_word():
+    rng = np.random.default_rng(1)
+    table = build_table({"abcab": 3, "bcd": 2, "cdab": 5})
+    words = ["abcab", "bcdc", "dabc"]
+    vectors = {sub: rng.standard_normal(6) for word in words for sub, _ in composition_weights(word, table, TrainConfig())}
+    model = make_model(table, dim=6, vectors=vectors)
+    targets = target_store(6, {w: rng.standard_normal(6) for w in words})
+    every = gradient_check(model, targets, seed=0)
+    assert 0.0 < every < 1e-4
+    sampled = [gradient_check(model, targets, seed=seed, max_coords_per_word=2) for seed in range(8)]
+    assert sampled == [gradient_check(model, targets, seed=seed, max_coords_per_word=2) for seed in range(8)]
+    # a sample's worst error is one of the errors of all coordinates, so no larger
+    assert all(0.0 < worst <= every for worst in sampled)
+    assert min(sampled) < every
 
 
 def test_gradient_check_zero_residual_gives_zero_analytic_gradient():

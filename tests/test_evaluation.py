@@ -194,6 +194,15 @@ def test_word_similarity_requires_pairs():
 
 # --- affix possibility and filtering ------------------------------------------
 
+@pytest.mark.parametrize("text, kind, message", [
+    ("", "prefix", "empty affix text"),
+    ("re", "infix", "affix kind must be prefix or suffix, got 'infix'"),
+])
+def test_an_affix_rejects_empty_text_and_an_unknown_kind(text, kind, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Affix(text, kind)
+
+
 def test_possible_affixes_are_positional():
     assert possible_affixes("rename", INVENTORY) == [Affix("re", "prefix")]
     found = possible_affixes("replaceable", INVENTORY)

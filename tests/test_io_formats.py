@@ -20,6 +20,7 @@ from pbos.io_formats import (
     write_embeddings,
     write_subwords,
 )
+from pbos.lattice import MAX_WORD_LEN
 from pbos.subword_stats import SubwordTable, build_table
 
 
@@ -53,6 +54,25 @@ def test_read_embeddings_structural_errors():
         read_embeddings(io.StringIO("1 2\nab 0.5 oops\n"))  # non-numeric
     with pytest.raises(FormatError):
         read_embeddings(io.StringIO("0 2\n"))
+
+
+@pytest.mark.parametrize("header", ["1.5 2\n", "a 2\n"])
+def test_read_embeddings_rejects_a_header_of_non_integers(header):
+    with pytest.raises(FormatError, match="malformed embedding header"):
+        read_embeddings(io.StringIO(header + "ab 0.5 -1.0\n"))
+
+
+def test_read_embeddings_rejects_an_empty_token():
+    with pytest.raises(FormatError, match="^record 2 has an empty token$"):
+        read_embeddings(io.StringIO("2 2\nab 0.5 -1.0\n 0.5 -1.0\n"))
+
+
+def test_read_embeddings_rejects_an_over_long_token_by_record():
+    text = f"2 1\nab 0.5\n{'a' * (MAX_WORD_LEN + 1)} 0.5\n"
+    with pytest.raises(ValueError, match=f"^record 2: word of length {MAX_WORD_LEN + 1} exceeds"):
+        read_embeddings(io.StringIO(text))
+    # a token the lattice takes reads
+    assert "a" * MAX_WORD_LEN in read_embeddings(io.StringIO(f"1 1\n{'a' * MAX_WORD_LEN} 0.5\n"))[0].index
 
 
 def test_read_embeddings_keeps_first_duplicate():
@@ -161,6 +181,19 @@ def test_read_freqs_counts_malformed_lines():
     assert skipped == 4
 
 
+def test_read_freqs_lowercases_each_word_with_lowercase():
+    entries, skipped = read_freqs(io.StringIO("The\t3\nthe,2\nBAD\n"), lowercase=True)
+    assert entries == [("the", 3), ("the", 2)]
+    assert skipped == 1
+
+
+def test_read_freqs_rejects_an_over_long_word_by_line_after_lowercasing():
+    word = "İ" + "a" * (MAX_WORD_LEN - 1)  # "İ" lowercases to two characters
+    assert read_freqs(io.StringIO(f"{word}\t2\n"))[0] == [(word, 2)]
+    with pytest.raises(ValueError, match=f"^line 3: word of length {MAX_WORD_LEN + 1} exceeds"):
+        read_freqs(io.StringIO(f"a\t1\n\n{word}\t2\n"), lowercase=True)
+
+
 def test_read_freqs_word_may_contain_commas():
     entries, skipped = read_freqs(io.StringIO("a,b,7\n"))
     assert entries == [("a,b", 7)]
@@ -258,6 +291,20 @@ def test_read_subwords_rejects_a_bad_total_mass_by_line(value):
         read_subwords(io.StringIO(text))
 
 
+@pytest.mark.parametrize("subword", ["a\tb", "a\nb"])
+def test_write_subwords_refuses_a_tab_or_newline_before_writing(subword):
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="subword contains a tab or newline"):
+        write_subwords(SubwordTable({"a": 0.5, subword: 0.25}), buffer)
+    assert buffer.getvalue() == ""
+
+
+def test_read_subwords_skips_blank_lines():
+    text = _settings_line('{"prob_eps": 0.25}') + "\na\t0.5\n\n\nb\t0.125\n"
+    table = read_subwords(io.StringIO(text))
+    assert (table.probs, table.prob_eps) == ({"a": 0.5, "b": 0.125}, 0.25)
+
+
 def test_read_subwords_accepts_probability_one():
     assert read_subwords(io.StringIO("a\t1.0\n")).probs == {"a": 1.0}
 
@@ -295,6 +342,24 @@ def test_read_affix_inventory():
     inventory, skipped = read_affix_inventory(stream)
     assert inventory == [Affix("re", "prefix"), Affix("able", "suffix")]
     assert skipped == 2  # bad kind, duplicate text
+
+
+def test_affix_readers_skip_blank_and_comment_lines_without_counting_them():
+    inventory, skipped = read_affix_inventory(io.StringIO("# affixes\n\nre\tprefix\n   \n  # more\nly\tsuffix\n"))
+    assert (inventory, skipped) == ([Affix("re", "prefix"), Affix("ly", "suffix")], 0)
+    instances, skipped = read_affix_instances(io.StringIO("# words\nredo\tre\n\n\t\n # x\tre\nkindly\tly\n"), inventory)
+    assert ([i.word for i in instances], skipped) == (["redo", "kindly"], 0)
+
+
+def test_word_readers_reject_an_over_long_word_by_line():
+    word = "a" * (MAX_WORD_LEN + 1)
+    with pytest.raises(ValueError, match=f"^line 2: word of length {MAX_WORD_LEN + 1} exceeds"):
+        read_affix_instances(io.StringIO(f"redo\tre\n{word}\tre\n"), [Affix("re", "prefix")])
+    with pytest.raises(ValueError, match=f"^line 2: word of length {MAX_WORD_LEN + 1} exceeds"):
+        read_similarity_pairs(io.StringIO(f"a\tb\t1\n{word}\tb\t2\n"))
+    # word_similarity composes the lowercase, which "İ" makes longer
+    with pytest.raises(ValueError, match=f"^line 1: word of length {MAX_WORD_LEN + 1} exceeds"):
+        read_similarity_pairs(io.StringIO(f"a\t{'İ' + 'a' * (MAX_WORD_LEN - 1)}\t2\n"))
 
 
 def test_read_affix_instances_resolves_labels():
