@@ -21,7 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import io_formats, lattice
-from .embedding_model import PbosModel, TrainConfig, Variant, train
+from .embedding_model import PbosModel, TrainConfig, Variant, reject_boundary_markers, train
 from .evaluation import evaluate_affix_dataset, filter_affix_dataset, word_similarity
 from .subword_stats import build_table
 
@@ -119,12 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="affix prediction evaluation (macro precision/recall/F1)",
         formatter_class=fmt,
     )
-    p.add_argument("--subwords", required=True, help="subword probability file")
+    p.add_argument("--subwords", default=None, help="subword probability file (the pbos predictor reads it)")
     p.add_argument("--data", required=True, help="instances file (word<TAB>label)")
     p.add_argument("--inventory", required=True, help="affix inventory file (label<TAB>prefix|suffix)")
     p.add_argument("--predictor", choices=["pbos", "random"], default="pbos", help="predictor to evaluate")
     p.add_argument("--seed", type=int, default=0, help="seed for the random baseline")
-    p.set_defaults(run=_cmd_eval_affix)
+    p.set_defaults(run=_cmd_eval_affix, usage_error=p.error)
 
     return parser
 
@@ -152,6 +152,8 @@ def _cmd_build_subwords(args) -> int:
 def _cmd_train(args) -> int:
     config = TrainConfig(**{setting.name: getattr(args, setting.name) for setting in fields(TrainConfig)})
     targets, duplicates = _read(args.target, io_formats.read_embeddings)
+    with io_formats.naming(args.target):
+        reject_boundary_markers(targets.index, config.use_word_boundary)
     if duplicates:
         _info(f"skipped {duplicates} duplicate target tokens")
     table = _read(args.subwords, io_formats.read_subwords)
@@ -183,8 +185,11 @@ def _query_words(stream) -> list[str]:
 
 def _cmd_predict(args) -> int:
     words = _query_words(sys.stdin) if args.words is None else _read(args.words, _query_words)
+    model = PbosModel.load(args.model)
+    with io_formats.naming("<stdin>" if args.words is None else args.words):
+        reject_boundary_markers(words, model.config.use_word_boundary)
     # the store rejects a non-finite vector before an output is opened
-    composed = io_formats.SubwordEmbeddings(words, PbosModel.load(args.model).compose_many(words))
+    composed = io_formats.SubwordEmbeddings(words, model.compose_many(words))
     if args.out is None:
         io_formats.write_embeddings(composed, sys.stdout)
     else:
@@ -217,6 +222,9 @@ def _cmd_eval_ws(args) -> int:
     if not pairs:
         raise ValueError(f"no usable pairs in {args.pairs}")
     model = PbosModel.load(args.model)
+    with io_formats.naming(args.pairs):
+        words = (word for pair in pairs for word in (pair.word1, pair.word2))
+        reject_boundary_markers(words, model.config.use_word_boundary)
     rho = word_similarity(model, pairs)
     _info(f"Spearman rho {rho:.4f} over {len(pairs)} pairs ({skipped} lines skipped)")
     print(f"pairs\t{len(pairs)}")
@@ -226,6 +234,8 @@ def _cmd_eval_ws(args) -> int:
 
 
 def _cmd_eval_affix(args) -> int:
+    if args.predictor == "pbos" and args.subwords is None:
+        args.usage_error("the pbos predictor needs --subwords")
     inventory, bad_inventory = _read(args.inventory, io_formats.read_affix_inventory)
     if not inventory:
         raise ValueError(f"no usable affixes in {args.inventory}")
@@ -233,7 +243,7 @@ def _cmd_eval_affix(args) -> int:
     kept = filter_affix_dataset(instances, inventory)
     if not kept:
         raise ValueError("no instances remain after filtering")
-    table = _read(args.subwords, io_formats.read_subwords)
+    table = _read(args.subwords, io_formats.read_subwords) if args.predictor == "pbos" else None
     precision, recall, f1 = evaluate_affix_dataset(
         kept, inventory, predictor=args.predictor, table=table, seed=args.seed
     )
@@ -254,13 +264,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # every command rejects a non-finite result it would hand out, so
-    # numpy's overflow warnings would only repeat that error on stderr
-    try:
+        # every command rejects a non-finite result it would hand out, so
+        # numpy's overflow warnings would only repeat that error on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             return args.run(args)
+    except SystemExit as exc:  # --help, or a usage error (EXIT_USAGE)
+        return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"pbos: {exc}", file=sys.stderr)
         return EXIT_DATA

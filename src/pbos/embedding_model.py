@@ -161,14 +161,24 @@ class TrainConfig:
         return self.lr0 / math.sqrt(epoch) if self.lr_decay else self.lr0
 
 
+def reject_boundary_markers(words: Iterable[str], word_boundary: bool) -> None:
+    """With ``word_boundary``, raise ``ValueError`` for the first of
+    ``words`` that holds a reserved boundary marker: a marker inside a
+    word would make its n-grams another word's.  Without it the markers
+    are ordinary characters."""
+    if word_boundary:
+        for word in words:
+            if BOUNDARY_START in word or BOUNDARY_END in word:
+                raise ValueError(f"word {word!r} contains a reserved boundary marker")
+
+
 def bos_subword_counts(
     word: str, min_len: int, max_len: int, word_boundary: bool
 ) -> Counter[str]:
     """Occurrence counts of character n-grams with lengths in
-    [min_len, max_len], over the boundary-marked word when requested;
-    a marker inside the word would make its n-grams another word's."""
-    if word_boundary and (BOUNDARY_START in word or BOUNDARY_END in word):
-        raise ValueError(f"word {word!r} contains a reserved boundary marker")
+    [min_len, max_len], over the boundary-marked word when requested
+    (:func:`reject_boundary_markers`)."""
+    reject_boundary_markers((word,), word_boundary)
     marked = BOUNDARY_START + word + BOUNDARY_END if word_boundary else word
     counts: Counter[str] = Counter()
     n = len(marked)

@@ -89,8 +89,8 @@ def _duplicate(items: Iterable[str]) -> str:
     return next(item for item, count in Counter(items).items() if count > 1)
 
 
-# rows per block of the finite check: a mask of the whole matrix would
-# cost as much memory as the matrix itself
+# rows per block of the finite check: a mask of the whole matrix holds a
+# byte per value, an eighth of the matrix (26 MB for 87,880 rows of dim 300)
 _FINITE_BLOCK_ROWS = 4096
 
 

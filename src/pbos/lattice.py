@@ -247,16 +247,17 @@ def weight_rows(
     block that is passed whenever it holds ``_BLOCK_SPANS`` spans and once
     at the end, so the rounds of a block, one per position of its longest
     word, serve words of about that length.  With ``extend`` the lookups
-    give a new subword a provisional column; after the pass the new
-    subwords take their columns in the order of their first entry in
-    batch order, and one whose every span has zero mass gets none.  A
-    word whose plain floats may not be exact (see ``_array_pass``) takes
-    its weights from ``_scaled_pass``, at the columns its lookups found.
+    number new subwords in a copy of ``columns``, and only after the pass
+    are those with a nonzero mass appended to it, in the order of their
+    first entry in batch order.  A word whose plain floats may not be
+    exact (see ``_array_pass``) takes its weights from ``_scaled_pass``,
+    at the columns its lookups found.
     """
     for word in words:
         _check_word(word)
     get, stems, eps = table.probs.get, table.stems, table.prob_eps
-    find, known = columns.get, len(columns)
+    known, lookup = len(columns), dict(columns) if extend else columns
+    find = lookup.get
     block = _Block()
     counts = np.zeros(len(words), np.int64)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per block: words, columns, weights
@@ -280,7 +281,7 @@ def weight_rows(
                         break  # as in _scaled_pass
                 key = find(sub, -1)
                 if key < 0 and extend:
-                    key = columns[sub] = len(columns)
+                    key = lookup[sub] = len(lookup)
                 probs.append(prob)
                 ends.append(j)
                 keys.append(key)
@@ -290,9 +291,9 @@ def weight_rows(
         inexact += block.flush(words, counts, parts)
     for w in inexact:
         weights = _scaled_pass(words[w], table)[3]
-        row = [sub for sub in weights if sub in columns]
+        row = [sub for sub in weights if sub in lookup]
         counts[w] = len(row)
-        key = np.array([columns[sub] for sub in row], np.int64)
+        key = np.array([lookup[sub] for sub in row], np.int64)
         parts.append((np.array([w]), key, np.array([weights[sub] for sub in row])))
     indptr = np.zeros(len(words) + 1, np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -302,7 +303,9 @@ def weight_rows(
         entries = _ranges(indptr[batch], counts[batch])
         indices[entries], data[entries] = key, weights
     if extend:
-        _renumber(columns, known, indices)
+        added = _renumber(indices, lookup, known)
+        del lookup, find  # freed before columns grows
+        columns.update(zip(added, range(known, known + len(added))))
     return indptr, indices, data
 
 
@@ -353,26 +356,19 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
-def _renumber(columns: dict[str, int], known: int, indices: np.ndarray) -> None:
-    """Renumber the columns from ``known`` on, which the lookups gave in
-    the order of their first span, in the order of their first entry in
-    ``indices``; a subword whose every span has zero mass is left out.
-    The first ``known`` entries keep their order and values."""
-    first = np.full(len(columns), len(indices))
+def _renumber(indices: np.ndarray, lookup: dict[str, int], known: int) -> np.ndarray:
+    """Renumber the columns from ``known`` on, which ``lookup`` gave in the
+    order of their first span, in the order of their first entry in
+    ``indices``.  Returns their subwords in that order; a subword whose
+    every span has zero mass is left out."""
+    first = np.full(len(lookup), len(indices))
     np.minimum.at(first, indices, np.arange(len(indices)))
     new = known + np.flatnonzero(first[known:] < len(indices))
     new = new[np.argsort(first[new])]
-    renumbered = np.arange(len(columns))
+    renumbered = np.arange(len(lookup))
     renumbered[new] = np.arange(known, known + len(new))
     indices[:] = renumbered[indices]
-    names = np.fromiter(itertools.islice(columns, known, None), object, len(columns) - known)[new - known]
-    kept = list(itertools.islice(columns.items(), known))
-    # refilled whole: deleting the new entries one at a time is slower;
-    # the arrays are freed first, as memory peaks while the dict grows
-    del first, new, renumbered
-    columns.clear()
-    columns.update(kept)
-    columns.update(zip(names, range(known, known + len(names))))
+    return np.fromiter(itertools.islice(lookup, known, None), object, len(lookup) - known)[new - known]
 
 
 def _array_pass(

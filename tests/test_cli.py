@@ -200,37 +200,87 @@ def test_train_checks_the_learning_rate_before_reading_any_file(tmp_path, capsys
     assert "lr0" in capsys.readouterr().err
 
 
-def test_bos_train_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys):
+def _fail(*args):
+    pytest.fail("read the table or composed a batch")
+
+
+def test_bos_train_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys, monkeypatch):
     target = tmp_path / "target.txt"
     target.write_text("2 2\nab 1.0 -1.0\na⟩⟨b 0.5 0.5\n", encoding="utf-8")
     subwords = tmp_path / "subwords.tsv"
     subwords.write_text("a\t0.5\nb\t0.5\n", encoding="utf-8")
     out = tmp_path / "model"
+    monkeypatch.setattr(io_formats, "read_subwords", _fail)
     code = cli.main([
         "train", "--target", str(target), "--subwords", str(subwords), "--variant", "bos",
         "--out", str(out),
     ])
     captured = capsys.readouterr()
     assert code == cli.EXIT_DATA
-    assert "'a⟩⟨b'" in captured.err
+    assert captured.err == f"pbos: {target}: word 'a⟩⟨b' contains a reserved boundary marker\n"
     assert captured.out == ""
     assert not out.exists()
 
 
-def test_bos_predict_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys):
-    model = PbosModel(
+def _bos_model(directory):
+    PbosModel(
         table=SubwordTable({"a": 0.5}),
         embeddings=SubwordEmbeddings(["⟨a⟩"], np.array([[1.0, 0.0]])),
         config=TrainConfig(variant=Variant.BOS, bos_min_len=1),
-    )
-    model.save(tmp_path / "model")
+    ).save(directory)
+    return str(directory)
+
+
+def test_bos_predict_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys, monkeypatch):
+    model = _bos_model(tmp_path / "model")
     words = tmp_path / "words.txt"
     words.write_text("a\na⟩⟨b\n", encoding="utf-8")
-    code = cli.main(["predict", "--model", str(tmp_path / "model"), "--words", str(words)])
+    monkeypatch.setattr(PbosModel, "compose_many", _fail)
+    code = cli.main(["predict", "--model", model, "--words", str(words)])
     captured = capsys.readouterr()
     assert code == cli.EXIT_DATA
-    assert "'a⟩⟨b'" in captured.err
+    assert captured.err == f"pbos: {words}: word 'a⟩⟨b' contains a reserved boundary marker\n"
     assert captured.out == ""
+
+
+def test_bos_eval_ws_exits_2_on_a_word_holding_a_boundary_marker(tmp_path, capsys, monkeypatch):
+    model = _bos_model(tmp_path / "model")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("a\tab\t1.0\nb\ta⟨c\t2.0\n", encoding="utf-8")
+    monkeypatch.setattr(PbosModel, "compose_many", _fail)
+    code = cli.main(["eval-ws", "--model", model, "--pairs", str(pairs)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == f"pbos: {pairs}: word 'a⟨c' contains a reserved boundary marker\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--variant", "pbos"], ["--variant", "pbos-n"], ["--variant", "bos", "--no-bos-word-boundary"],
+], ids=["pbos", "pbos-n", "bos-no-boundary"])
+def test_a_boundary_marker_is_an_ordinary_character_without_word_boundaries(tmp_path, capsys, flags):
+    target = tmp_path / "target.txt"
+    target.write_text("2 2\nab 1.0 -1.0\na⟨b⟩ 0.5 0.5\n", encoding="utf-8")
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t0.5\nb\t0.5\nab\t0.25\n", encoding="utf-8")
+    model = tmp_path / "model"
+    argv = ["train", "--target", str(target), "--subwords", str(subwords), "--epochs", "1", *flags, "--out", str(model)]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    words = tmp_path / "words.txt"
+    words.write_text("a⟩c\n", encoding="utf-8")
+    assert cli.main(["predict", "--model", str(model), "--words", str(words)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("1 2\na⟩c ")
+
+
+def test_python_m_pbos_help_exits_0():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "pbos", "--help"], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: pbos ")
 
 
 def test_every_subcommand_help_exits_0(capsys):
@@ -744,3 +794,35 @@ def test_eval_affix_prints_the_counts_and_scores(tmp_path, capsys, predictor):
         f"recall\t{recall:.6f}\nf1\t{f1:.6f}\n"
     )
     assert "(1 filtered, 1 lines skipped)" in captured.err
+
+
+@pytest.mark.parametrize("subwords", [["--subwords", "missing.tsv"], []], ids=["missing-file", "no-flag"])
+def test_eval_affix_with_the_random_predictor_reads_no_subword_table(tmp_path, capsys, subwords):
+    _, inventory, data = _affix_inputs(tmp_path)
+    code = cli.main([
+        "eval-affix", *subwords, "--inventory", str(inventory), "--data", str(data),
+        "--predictor", "random", "--seed", "3",
+    ])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    with open(inventory, encoding="utf-8") as fh:
+        affixes, _ = io_formats.read_affix_inventory(fh)
+    with open(data, encoding="utf-8") as fh:
+        kept = filter_affix_dataset(io_formats.read_affix_instances(fh, affixes)[0], affixes)
+    precision, recall, f1 = evaluate_affix_dataset(kept, affixes, predictor="random", seed=3)
+    assert captured.out == (
+        f"instances\t5\nfiltered_out\t1\nprecision\t{precision:.6f}\n"
+        f"recall\t{recall:.6f}\nf1\t{f1:.6f}\n"
+    )
+
+
+def test_eval_affix_with_the_pbos_predictor_and_no_subwords_is_a_usage_error_before_any_file_is_read(
+    tmp_path, capsys
+):
+    missing = str(tmp_path / "missing")
+    code = cli.main(["eval-affix", "--inventory", missing, "--data", missing])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err.startswith("usage: pbos eval-affix ")
+    assert captured.err.endswith("pbos eval-affix: error: the pbos predictor needs --subwords\n")
+    assert captured.out == ""

@@ -316,6 +316,16 @@ def test_macro_prf_length_mismatch():
         macro_prf(["A"], ["A", "B"], ["A", "B"])
 
 
+def test_macro_prf_rejects_an_empty_label_set():
+    with pytest.raises(ValueError, match="^empty label set$"):
+        macro_prf(["A"], ["A"], [])
+
+
+def test_affix_predict_random_rejects_a_word_with_no_possible_affix():
+    with pytest.raises(ValueError, match="^no possible affix for 'kind'$"):
+        affix_predict_random("kind", INVENTORY, 0)
+
+
 def _macro_prf_by_scans(golds, predictions, labels):
     """Reference: each label's tp, fp and fn counted by a scan of the pairs."""
     precisions, recalls, f1s = [], [], []

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pbos import lattice
 from pbos.io_formats import read_subwords
 from pbos.lattice import (
     MAX_ENUM_LEN,
@@ -182,6 +183,19 @@ def test_weight_rows_hold_the_bits_and_order_of_subword_weights():
         lo, hi = indptr[row], indptr[row + 1]
         expected = [(kept[sub], weight) for sub, weight in subword_weights(word, table).items() if sub in kept]
         assert list(zip(indices[lo:hi].tolist(), data[lo:hi].tolist())) == expected, word
+
+
+@pytest.mark.parametrize("stage", ["_array_pass", "_ranges"])
+def test_weight_rows_that_raise_after_the_lookups_leave_the_columns_as_they_were(monkeypatch, stage):
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(lattice, stage, fail)
+    table = build_table({"banana": 3, "bandana": 2, "nab": 1})
+    columns = {"zz": 0}
+    with pytest.raises(MemoryError):
+        weight_rows(["banana", "bandana", "nab"], table, columns, extend=True)
+    assert columns == {"zz": 0}
 
 
 def exact_weights(word, table):
