@@ -23,7 +23,11 @@ words, which ``weight_matrix`` passes in arrays (``lattice.weight_rows``),
 with the columns found as ``train`` finds them (``extend``);
 ``test_weight_matrix_known_columns`` times the same batch against the
 columns that pass found, without ``extend``, as ``predict`` reads a
-model's columns.  ``test_weight_matrix_with_fallback_words`` adds 20
+model's columns.  ``test_weight_matrix_one_word`` times the same 1,100
+words against those columns as 1,100 one-word batches, the route
+``PbosModel.compose`` takes for a word it has not memoized: the scalar
+pass (``composition_weights``) and ``lattice.csr_rows``; divide by 1,100
+for one call.  ``test_weight_matrix_with_fallback_words`` adds 20
 words of 150-300 characters over letters the table lacks: every span of
 such a word has probability ``prob_eps``, so its path sums fall to or
 below the least normal float, and ``weight_rows`` gives it the weights
@@ -114,6 +118,19 @@ def test_weight_matrix_known_columns(benchmark, counted, mixed):
     found = weight_matrix(mixed, counted, TrainConfig(), columns, extend=True)
     arrays = benchmark(weight_matrix, mixed, counted, TrainConfig(), columns)
     assert all(array.tobytes() == want.tobytes() for array, want in zip(arrays, found))
+
+
+def _one_word_batches(table, config, words, columns):
+    return [weight_matrix([word], table, config, columns) for word in words]
+
+
+def test_weight_matrix_one_word(benchmark, counted, mixed):
+    columns: dict[str, int] = {}
+    found = weight_matrix(mixed, counted, TrainConfig(), columns, extend=True)
+    rows = benchmark(_one_word_batches, counted, TrainConfig(), mixed, columns)
+    assert len(rows) == COMPOUNDS + SHORT_WORDS
+    for part, want in zip(([row[1] for row in rows], [row[2] for row in rows]), found[1:]):
+        assert np.concatenate(part).tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -37,8 +37,12 @@ vector is ``_weighted_sum`` of its row and the matrix rows it indexes.
 and ``gradient_check`` read ``W`` of the targets.  A batch of more than
 one word takes its lattice weights from :func:`lattice.weight_rows`, all
 words at once in arrays; one word, and every ``bos`` batch, reads
-:func:`composition_weights`.  Both give the same bits, so a word's row of
-``W`` does not depend on the batch it is in.
+:func:`composition_weights`, whose rows :func:`lattice.csr_rows` writes.
+Both give the same bits, so a word's row of ``W`` does not depend on the
+batch it is in.  ``csr_rows`` is the one scalar row writer and holds the
+one column rule, which ``weight_rows`` follows too: new subwords are
+numbered in first-seen order and reach ``columns`` only once the batch
+is done, so a batch that raises leaves ``columns`` as it was.
 
 A word's vector is a pure function of its spelling and the model, so
 ``compose`` memoizes it in a dict field of the model, word -> vector,
@@ -76,7 +80,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
@@ -215,41 +218,20 @@ def weight_matrix(
     extend: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSR arrays ``(indptr, indices, data)`` of the word x subword
-    weight matrix ``W`` of ``words``: int64, int64 and float64.
+    weight matrix ``W`` of ``words``, int64, int64 and float64: row i holds
+    the composition weights of the i-th word at the columns ``columns``
+    assigns their subwords, and ``extend`` (``train``, ``gradient_check``)
+    numbers new subwords in it rather than dropping them
+    (:func:`lattice.csr_rows`).  Every composition reads its weights here.
 
-    Row i holds the composition weights of the i-th word, in the order
-    :func:`composition_weights` gives them, at the columns ``columns``
-    assigns their subwords; every composition reads its weights here.  With
-    ``extend`` (``train``, ``gradient_check``) a new subword is appended to
-    ``columns``, so columns number subwords in first-seen order; otherwise
-    (``compose_many``) subwords not in ``columns`` are dropped.  ``W`` has
-    ``len(columns)`` columns.
-
-    A batch of more than one word takes its lattice weights from
-    :func:`lattice.weight_rows`, which gives the bits of
-    :func:`composition_weights` in about half the time; one word, and
-    every ``bos`` batch, reads :func:`composition_weights`.
+    A lattice batch of more than one word goes to
+    :func:`lattice.weight_rows`; any other batch goes to
+    :func:`lattice.csr_rows` over :func:`composition_weights`.
     """
     words = list(words)
     if len(words) > 1 and config.variant is not Variant.BOS:
         return lattice.weight_rows(words, table, columns, extend=extend)
-    # lists append faster than arrays; arrays hold a batch in 16 bytes an entry
-    indptr, indices, data = array("q", [0]), array("q"), array("d")
-    get = columns.get
-    for word in words:
-        rows, weights = [], []
-        for subword, weight in composition_weights(word, table, config):
-            column = get(subword)
-            if column is None:
-                if not extend:
-                    continue
-                column = columns[subword] = len(columns)
-            rows.append(column)
-            weights.append(weight)
-        indices.extend(rows)
-        data.extend(weights)
-        indptr.append(len(indices))
-    return np.frombuffer(indptr, np.int64), np.frombuffer(indices, np.int64), np.frombuffer(data, np.float64)
+    return lattice.csr_rows((composition_weights(word, table, config) for word in words), columns, extend=extend)
 
 
 def _weighted_sum(weights: np.ndarray, gathered: np.ndarray, normalize: bool) -> np.ndarray:
@@ -403,7 +385,8 @@ def train(
     ``targets.matrix``, which the store has checked finite and of the
     targets' ``dim``.  The reported per-epoch loss is the mean of squared
     residuals as visited; a non-finite epoch loss (the residuals of finite
-    targets may still overflow) raises ``ValueError`` naming the epoch.
+    targets may still overflow) raises ``ValueError`` naming the epoch,
+    without numpy's overflow ``RuntimeWarning``.
 
     Composition weights depend only on the frozen table, so the weight
     matrix ``W`` of the targets is built once up front; its columns, in
@@ -430,15 +413,17 @@ def train(
         lr = config.learning_rate(epoch)
         order = rng.permutation(len(goals))
         squared_sum = 0.0
-        for index in order.tolist():
-            lo, hi = bounds[index], bounds[index + 1]
-            rows, weights = indices[lo:hi], data[lo:hi]
-            gathered = matrix.take(rows, axis=0)
-            residual = _weighted_sum(weights, gathered, normalize)
-            residual -= goals[index]
-            squared_sum += float(residual @ residual)
-            gathered -= (lr * scales[index]) * weights[:, None] * residual
-            matrix[rows] = gathered
+        # an overflow ends in the loss check below or the store's, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for index in order.tolist():
+                lo, hi = bounds[index], bounds[index + 1]
+                rows, weights = indices[lo:hi], data[lo:hi]
+                gathered = matrix.take(rows, axis=0)
+                residual = _weighted_sum(weights, gathered, normalize)
+                residual -= goals[index]
+                squared_sum += float(residual @ residual)
+                gathered -= (lr * scales[index]) * weights[:, None] * residual
+                matrix[rows] = gathered
         trace.append(squared_sum / len(goals))
         if not math.isfinite(trace[-1]):
             raise ValueError(f"training loss is not finite in epoch {epoch}: {trace[-1]}")

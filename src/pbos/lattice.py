@@ -50,9 +50,24 @@ weights have the same bits.  One cheap bound per word decides that (see
 ``_scaled_pass``, so the array form holds no exponents.  For ``train``
 the batch's new subwords take their columns after the pass, in the order
 of their first weight in the batch, so a subword whose spans all have
-zero mass gets none.  On 5,000 words the array form is about twice as
-fast; one word at a time it is five to eight times slower, so a batch of
-one keeps the scalar pass.
+zero mass gets none.  On the seed-7 inputs of ``perfbench/run.py``
+(2-vCPU host, medians of 7 alternating runs) the array form takes a
+batch of 5,000 words in 0.46-0.52 of the time of the scalar pass word by
+word, and one word at a time 3.9-4.0 times as long (the 3,200 distinct
+``serve`` words), so a batch of one keeps the scalar pass.  ``python -m
+pytest benchmarks/test_lattice.py --benchmark-only`` shows the same on
+its own words (``test_weight_matrix_known_columns`` against
+``test_weight_matrix_one_word``).
+
+The rows of the word x subword weight matrix ``W`` that the array pass
+does not give are written by ``csr_rows``, the one scalar row writer:
+those of ``embedding_model.weight_matrix``'s one-word and ``bos``
+batches, and those of the words of ``weight_rows`` that take the scalar
+pass.  It holds the one column rule, which ``weight_rows`` follows too:
+without ``extend`` a subword that ``columns`` lacks is dropped; with it,
+the subword is numbered next in a copy of ``columns``, which takes the
+new entries in one update at the end, so a batch that raises leaves
+``columns`` as it was.
 
 The k most likely segmentations come from a left-to-right DP that keeps a
 k-best list per position (Huang & Chiang, "Better k-best parsing", 2005).
@@ -65,7 +80,7 @@ import itertools
 import math
 import sys
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -228,6 +243,36 @@ def subword_weights(word: str, table: SubwordTable) -> dict[str, float]:
     return weights
 
 
+def csr_rows(
+    word_weights: Iterable[Iterable[tuple[str, float]]], columns: dict[str, int], *, extend: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays ``(indptr, indices, data)``, int64, int64 and
+    float64, of the rows whose ``(subword, weight)`` pairs
+    ``word_weights`` gives, one row per word and its pairs in their
+    order, at the columns ``columns`` assigns their subwords.
+
+    A subword not in ``columns`` is dropped, or with ``extend`` numbered
+    next in a copy of ``columns``; ``columns`` takes the new entries in
+    one update after the last row, so a row that raises leaves it as it
+    was.
+    """
+    lookup = dict(columns) if extend else columns
+    get = lookup.get
+    indptr, indices, data = array("q", [0]), array("q"), array("d")  # 16 bytes an entry
+    for pairs in word_weights:
+        for subword, weight in pairs:
+            key = get(subword)
+            if key is None and extend:
+                key = lookup[subword] = len(lookup)
+            if key is not None:
+                indices.append(key)
+                data.append(weight)
+        indptr.append(len(indices))
+    if extend:
+        columns.update(itertools.islice(lookup.items(), len(columns), None))
+    return np.frombuffer(indptr, np.int64), np.frombuffer(indices, np.int64), np.frombuffer(data, np.float64)
+
+
 def weight_rows(
     words: Sequence[str], table: SubwordTable, columns: dict[str, int], *, extend: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,9 +294,10 @@ def weight_rows(
     word, serve words of about that length.  With ``extend`` the lookups
     number new subwords in a copy of ``columns``, and only after the pass
     are those with a nonzero mass appended to it, in the order of their
-    first entry in batch order.  A word whose plain floats may not be
-    exact (see ``_array_pass``) takes its weights from ``_scaled_pass``,
-    at the columns its lookups found.
+    first entry in batch order.  The words whose plain floats may not be
+    exact (see ``_array_pass``) take their weights from ``_scaled_pass``,
+    written by one :func:`csr_rows` call at the columns their lookups
+    found.
     """
     for word in words:
         _check_word(word)
@@ -289,12 +335,9 @@ def weight_rows(
             inexact += block.flush(words, counts, parts)
     if block.words:
         inexact += block.flush(words, counts, parts)
-    for w in inexact:
-        weights = _scaled_pass(words[w], table)[3]
-        row = [sub for sub in weights if sub in lookup]
-        counts[w] = len(row)
-        key = np.array([lookup[sub] for sub in row], np.int64)
-        parts.append((np.array([w]), key, np.array([weights[sub] for sub in row])))
+    fallback, key, weights = csr_rows((_scaled_pass(words[w], table)[3].items() for w in inexact), lookup)
+    counts[inexact] = np.diff(fallback)
+    parts.append((np.array(inexact, np.int64), key, weights))
     indptr = np.zeros(len(words) + 1, np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices, data = np.empty(indptr[-1], np.int64), np.empty(indptr[-1])

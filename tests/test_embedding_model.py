@@ -371,6 +371,14 @@ def test_a_batch_with_a_word_the_lattice_rejects_raises_its_error(bad):
         model.compose_many(["abc", bad])
 
 
+def test_a_bos_batch_with_a_word_holding_a_boundary_marker_leaves_the_columns_as_they_were():
+    table = build_table({"abc": 2, "cab": 1})
+    columns = {"zz": 0}
+    with pytest.raises(ValueError, match="reserved boundary marker"):
+        weight_matrix(["abc", "a⟨b"], table, TrainConfig(variant=Variant.BOS), columns, extend=True)
+    assert columns == {"zz": 0}
+
+
 def test_compose_many_takes_a_one_shot_iterator():
     model = _batch_model(Variant.PBOS)
     batch = model.compose_many(iter(BATCH_WORDS))
@@ -604,9 +612,10 @@ def _dense(indptr, indices, data, columns):
     return dense
 
 
-def test_weight_matrix_rows_hold_the_composition_weights_in_first_seen_columns():
+@pytest.mark.parametrize("variant", list(Variant))
+def test_weight_matrix_rows_hold_the_composition_weights_in_first_seen_columns(variant):
     table = build_table({"abc": 2, "cab": 1})
-    config = TrainConfig()
+    config = TrainConfig(variant=variant)
     columns: dict[str, int] = {}
     indptr, indices, data = weight_matrix(["abc", "cab"], table, config, columns, extend=True)
     assert (indptr.dtype, indices.dtype, data.dtype) == (np.int64, np.int64, np.float64)
@@ -616,11 +625,12 @@ def test_weight_matrix_rows_hold_the_composition_weights_in_first_seen_columns()
         names = [list(columns)[col] for col in indices[lo:hi]]
         assert list(zip(names, data[lo:hi].tolist())) == composition_weights(word, table, config)
     # without extend, subwords not in the columns are dropped
-    known = {"c": 0, "ab": 1}
-    dropped = _dense(*weight_matrix(["abc"], table, config, known), len(known))
-    assert known == {"c": 0, "ab": 1}
     expected = dict(composition_weights("abc", table, config))
-    assert dropped.tolist() == [[expected["c"], expected["ab"]]]
+    first, *_, last = expected
+    known = {last: 0, first: 1, "zz": 2}
+    dropped = _dense(*weight_matrix(["abc"], table, config, known), len(known))
+    assert known == {last: 0, first: 1, "zz": 2}
+    assert dropped.tolist() == [[expected[last], expected[first], 0.0]]
 
 
 @pytest.mark.parametrize("variant", [Variant.PBOS, Variant.BOS])
@@ -729,7 +739,8 @@ def test_bos_step_is_normalized_by_the_squared_weights():
 def test_train_rejects_non_finite_loss():
     # finite targets whose squared residual overflows
     targets = target_store(2, {"a": np.array([1e200, 0.0])})
-    with pytest.raises(ValueError, match="epoch 1"):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="epoch 1"):
+        warnings.simplefilter("error")  # and no numpy overflow warning on the way
         train(targets, SubwordTable({"a": 1.0}), TrainConfig(epochs=3))
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from pbos.lattice import (
     MAX_TOP_K,
     MAX_WORD_LEN,
     backward_sums,
+    csr_rows,
     enumerate_all_segmentations,
     forward_sums,
     partition,
@@ -185,7 +187,7 @@ def test_weight_rows_hold_the_bits_and_order_of_subword_weights():
         assert list(zip(indices[lo:hi].tolist(), data[lo:hi].tolist())) == expected, word
 
 
-@pytest.mark.parametrize("stage", ["_array_pass", "_ranges"])
+@pytest.mark.parametrize("stage", ["_array_pass", "_ranges", "csr_rows"])
 def test_weight_rows_that_raise_after_the_lookups_leave_the_columns_as_they_were(monkeypatch, stage):
     def fail(*args):
         raise MemoryError
@@ -196,6 +198,21 @@ def test_weight_rows_that_raise_after_the_lookups_leave_the_columns_as_they_were
     with pytest.raises(MemoryError):
         weight_rows(["banana", "bandana", "nab"], table, columns, extend=True)
     assert columns == {"zz": 0}
+
+
+def test_csr_rows_put_each_weight_at_its_column_and_number_new_subwords_first_seen():
+    rows = [[("b", 0.5), ("zz", 0.25)], [], [("c", 1.0), ("b", 2.0)]]
+    columns = {"zz": 0}
+    indptr, indices, data = csr_rows(iter(rows), columns, extend=True)
+    assert (indptr.dtype, indices.dtype, data.dtype) == (np.int64, np.int64, np.float64)
+    assert (indptr.tolist(), indices.tolist(), data.tolist()) == ([0, 2, 2, 4], [1, 0, 2, 1], [0.5, 0.25, 1.0, 2.0])
+    assert list(columns.items()) == [("zz", 0), ("b", 1), ("c", 2)]
+    # without extend a subword the columns lack is dropped
+    known = {"zz": 0}
+    indptr, indices, data = csr_rows(rows, known)
+    assert (indptr.tolist(), indices.tolist(), data.tolist()) == ([0, 1, 1, 1], [0], [0.25])
+    assert known == {"zz": 0}
+    assert [array.tolist() for array in csr_rows([], known)] == [[0], [], []]
 
 
 def exact_weights(word, table):
