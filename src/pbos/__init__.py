@@ -40,6 +40,7 @@ from .io_formats import (
     read_freqs,
     read_similarity_pairs,
     read_subwords,
+    read_words,
     write_embeddings,
     write_subwords,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "read_freqs",
     "read_similarity_pairs",
     "read_subwords",
+    "read_words",
     "segmentation_likelihood",
     "spearman",
     "subword_weights",

@@ -166,25 +166,8 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _query_words(stream) -> list[str]:
-    """The distinct stripped lines of ``stream`` (split at ``\\n`` only),
-    each one a token ``write_embeddings`` can write and no longer than
-    the lattice takes."""
-    words: dict[str, None] = {}
-    for number, line in enumerate(stream.read().split("\n"), 1):
-        word = line.strip()
-        if word:
-            io_formats.check_query_word(word, number)
-            words[word] = None
-    if not words:
-        raise ValueError("empty query word list")
-    for word in words:
-        io_formats.check_token(word)
-    return list(words)
-
-
 def _cmd_predict(args) -> int:
-    words = _query_words(sys.stdin) if args.words is None else _read(args.words, _query_words)
+    words = io_formats.read_words(sys.stdin) if args.words is None else _read(args.words, io_formats.read_words)
     model = PbosModel.load(args.model)
     with io_formats.naming("<stdin>" if args.words is None else args.words):
         reject_boundary_markers(words, model.config.use_word_boundary)

@@ -185,7 +185,7 @@ def bos_subword_counts(
     marked = BOUNDARY_START + word + BOUNDARY_END if word_boundary else word
     counts: Counter[str] = Counter()
     n = len(marked)
-    for size in range(min_len, max_len + 1):
+    for size in range(min_len, min(max_len, n) + 1):
         for i in range(n - size + 1):
             counts[marked[i : i + size]] += 1
     return counts
@@ -293,8 +293,9 @@ class PbosModel:
     def save(self, directory: str | Path) -> None:
         """Write the model directory laid out in the module docstring.
 
-        A subword containing a newline raises ``ValueError`` before any
-        file is written.
+        A subword containing a newline, or a non-finite loss trace value,
+        which JSON cannot hold, raises ``ValueError`` before any file is
+        written.
         """
         index, probs = self.embeddings.index, self.table.probs
         subwords = [*index, *(subword for subword in probs if subword not in index)]
@@ -308,6 +309,7 @@ class PbosModel:
             "table": table_settings(self.table),
             "loss_trace": [float(value) for value in self.loss_trace],
         }
+        config_text = json.dumps(document, indent=1, allow_nan=False) + "\n"
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         with (
@@ -316,7 +318,7 @@ class PbosModel:
             replaced(path / MODEL_PROBS_FILE, "wb") as probs_fh,
             replaced(path / MODEL_MATRIX_FILE, "wb") as matrix_fh,
         ):
-            config_fh.write(json.dumps(document, indent=1) + "\n")
+            config_fh.write(config_text)
             subwords_fh.write(text.encode("utf-8"))
             np.save(probs_fh, values, allow_pickle=False)
             np.save(matrix_fh, self.embeddings.matrix, allow_pickle=False)
@@ -331,8 +333,8 @@ class PbosModel:
             config = TrainConfig(**document["train"])
             SubwordTable({}, **document["table"])  # the table checks its fields, so an error names this file
             loss_trace = document["loss_trace"]
-            if not isinstance(loss_trace, list) or any(type(value) is not float for value in loss_trace):
-                raise ValueError(f"loss_trace must be a list of floats, got {loss_trace!r}")
+            if not isinstance(loss_trace, list) or not all(type(v) is float and math.isfinite(v) for v in loss_trace):
+                raise ValueError(f"loss_trace must be a list of finite floats, got {loss_trace!r}")
         with naming(path / MODEL_SUBWORDS_FILE) as subwords_path:
             subwords = subwords_path.read_bytes().decode("utf-8").split("\n")
             if subwords.pop():

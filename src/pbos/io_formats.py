@@ -14,13 +14,20 @@ model keeps neither: it stores its table and the same store in binary,
 exactly (see :mod:`pbos.embedding_model`).  Both files of a table carry
 one settings object, :func:`table_settings`, and both readers build the
 table with :func:`subword_table`.
-Frequency and benchmark readers skip malformed lines and count them.  A
+The frequency list, the word-similarity and affix files and ``predict``'s
+word list share one line rule, :func:`_lines`: lines are numbered from 1,
+lose their ``\\r\\n``, and a line holding only whitespace is skipped.  The
+three evaluation readers also skip ``#`` comment lines (:func:`_records`);
+in the frequency list and the word list a ``#`` line is data.  The
+frequency and evaluation readers skip malformed lines and count them.  A
 word longer than the lattice takes, in any file a command reads words
 from, is an error naming its line or record, found while the file is
 read, before any table is built or model read.
-Embedding and subword files abort with :class:`FormatError` on a
-structural problem or a value no model can use: a non-finite vector
-component, a probability outside (0, 1] or a repeated subword.
+Embedding and subword files keep their own loops and abort with
+:class:`FormatError` on a structural problem or a value no model can use:
+a non-finite vector component, a probability outside (0, 1] or a repeated
+subword.  In them a line of whitespace is damage, not a line to skip: a
+subword line without its tab, or an embedding record without its token.
 
 Two helpers hold the file policy: :func:`naming` makes an error in reading
 a file name it, and :func:`replaced` writes a file whole or not at all.
@@ -249,6 +256,38 @@ def write_embeddings(vectors: SubwordEmbeddings, stream: IO[str]) -> None:
         stream.write(template % (token, *row.tolist()))
 
 
+def _lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
+    """``(number, line)`` for each line of ``stream`` that holds more than
+    whitespace, numbered from 1, without its ``\\r\\n``."""
+    for number, raw in enumerate(stream, 1):
+        line = raw.rstrip("\r\n")
+        if line.strip():
+            yield number, line
+
+
+def _records(stream: IO[str]) -> Iterator[tuple[int, str]]:
+    """:func:`_lines` without the ``#`` comment lines."""
+    return ((number, line) for number, line in _lines(stream) if not line.lstrip().startswith("#"))
+
+
+def read_words(stream: IO[str]) -> list[str]:
+    """The distinct words of ``stream``, one per line and stripped, in
+    first-seen order: ``predict``'s query words.  A word longer than the
+    lattice takes raises ``ValueError`` naming its line; then an empty list
+    or a word :func:`check_token` rejects (one holding whitespace) raises
+    it, so every word can head a record of :func:`write_embeddings`."""
+    words: dict[str, None] = {}
+    for number, line in _lines(stream):
+        word = line.strip()
+        check_query_word(word, number)
+        words[word] = None
+    if not words:
+        raise ValueError("empty query word list")
+    for word in words:
+        check_token(word)
+    return list(words)
+
+
 def read_freqs(stream: IO[str], *, lowercase: bool = False) -> tuple[list[tuple[str, int]], int]:
     """Parse ``word,count`` or tab-separated frequency lines, with
     ``lowercase`` lowercasing each word.
@@ -259,10 +298,7 @@ def read_freqs(stream: IO[str], *, lowercase: bool = False) -> tuple[list[tuple[
     """
     entries: list[tuple[str, int]] = []
     skipped = 0
-    for number, raw in enumerate(stream, 1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
+    for number, line in _lines(stream):
         if "\t" in line:
             word, _, count_text = line.partition("\t")
         elif "," in line:
@@ -316,17 +352,19 @@ def write_subwords(table: SubwordTable, stream: IO[str]) -> None:
     :func:`table_settings`, then ``subword<TAB>probability`` lines, so a
     table round-trips exactly.
 
-    A subword that holds a tab or newline raises ``ValueError`` before
-    anything is written.
+    A subword that holds a tab, ``\\n`` or ``\\r`` (which a file opened
+    with universal newlines reads as a line break) raises ``ValueError``
+    before anything is written.  Each probability is written as the
+    ``repr`` of its ``float``, whatever number type the table holds.
     """
     subwords = sorted(table.probs)
     for subword in subwords:
-        if "\t" in subword or "\n" in subword:
+        if "\t" in subword or "\n" in subword or "\r" in subword:
             raise ValueError(f"subword contains a tab or newline: {subword!r}")
     stream.write(f"#\t{json.dumps(table_settings(table))}\n")
     probs = table.probs
     for subword in subwords:
-        stream.write(f"{subword}\t{probs[subword]!r}\n")
+        stream.write(f"{subword}\t{float(probs[subword])!r}\n")
 
 
 def read_subwords(stream: IO[str]) -> SubwordTable:
@@ -376,10 +414,7 @@ def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:
     its line."""
     pairs: list[SimilarityPair] = []
     skipped = 0
-    for number, raw in enumerate(stream, 1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for number, line in _records(stream):
         fields = line.split("\t")
         if len(fields) != 3 or not fields[0] or not fields[1]:
             skipped += 1
@@ -398,40 +433,32 @@ def read_similarity_pairs(stream: IO[str]) -> tuple[list[SimilarityPair], int]:
 
 
 def read_affix_inventory(stream: IO[str]) -> tuple[list[Affix], int]:
-    """Parse ``text<TAB>prefix|suffix`` lines into the affix inventory."""
-    inventory: list[Affix] = []
-    seen: set[str] = set()
+    """Parse ``text<TAB>prefix|suffix`` lines into the affix inventory;
+    ``#`` comments and blank lines are skipped, malformed lines and a
+    text listed again skipped and counted."""
+    inventory: dict[str, Affix] = {}
     skipped = 0
-    for raw in stream:
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for _, line in _records(stream):
         text, sep, kind = line.partition("\t")
         kind = kind.strip().lower()
-        if not sep or not text or kind not in ("prefix", "suffix"):
+        if not sep or not text or kind not in ("prefix", "suffix") or text in inventory:
             skipped += 1
             continue
-        if text in seen:
-            skipped += 1
-            continue
-        seen.add(text)
-        inventory.append(Affix(text=text, kind=kind))
-    return inventory, skipped
+        inventory[text] = Affix(text=text, kind=kind)
+    return list(inventory.values()), skipped
 
 
 def read_affix_instances(
     stream: IO[str], inventory: Iterable[Affix]
 ) -> tuple[list[AffixInstance], int]:
     """Parse ``word<TAB>label`` lines, resolving labels against the
-    inventory; lines with unknown labels are skipped and counted.  A word
-    longer than the lattice takes raises ``ValueError`` naming its line."""
+    inventory; ``#`` comments and blank lines are skipped, lines with
+    unknown labels skipped and counted.  A word longer than the lattice
+    takes raises ``ValueError`` naming its line."""
     by_text = {affix.text: affix for affix in inventory}
     instances: list[AffixInstance] = []
     skipped = 0
-    for number, raw in enumerate(stream, 1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for number, line in _records(stream):
         word, sep, label = line.partition("\t")
         label = label.strip()
         if not sep or not word or label not in by_text:

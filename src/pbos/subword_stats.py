@@ -61,11 +61,11 @@ def _is_number(value: object, kinds: tuple[type, ...] = (int, float)) -> bool:
 class SubwordTable:
     """Immutable subword probability lookup.
 
-    ``probs`` maps each counted subword to a probability in (0, 1], which
-    the table checks.  Single characters missing from the table fall back
-    to ``prob_eps``, in (0, 1), so that every string keeps at least one
-    valid segmentation; missing strings of length >= 2 have probability
-    exactly 0.
+    ``probs`` maps each counted subword, never the empty string, to a
+    probability in (0, 1], which the table checks.  Single characters
+    missing from the table fall back to ``prob_eps``, in (0, 1), so that
+    every string keeps at least one valid segmentation; missing strings of
+    length >= 2 have probability exactly 0.
     ``max_len`` records the longest subword length counted (None when
     unbounded), and ``total_mass`` the count total (finite and >= 0).
 
@@ -82,6 +82,8 @@ class SubwordTable:
     def __post_init__(self) -> None:
         if not isinstance(self.probs, ReadOnlyDict):
             object.__setattr__(self, "probs", ReadOnlyDict(self.probs))
+        if "" in self.probs:
+            raise ValueError("a subword must not be empty")
         if not _is_number(self.prob_eps) or not 0.0 < self.prob_eps < 1.0:
             raise ValueError(f"prob_eps must be a real number in (0, 1), got {self.prob_eps!r}")
         if not _is_number(self.total_mass) or not 0.0 <= self.total_mass < math.inf:

@@ -283,6 +283,22 @@ def test_python_m_pbos_help_exits_0():
     assert result.stdout.startswith("usage: pbos ")
 
 
+def test_train_bos_ends_with_a_max_len_far_past_every_word(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("2 2\nab 1.0 0.0\nbc 0.0 1.0\n", encoding="utf-8")
+    subwords = tmp_path / "subwords.tsv"
+    subwords.write_text("a\t0.5\n", encoding="utf-8")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "pbos", "train", "--target", str(target), "--subwords", str(subwords),
+         "--variant", "bos", "--bos-max-len", "1000000000000", "--epochs", "1", "--out", str(tmp_path / "model")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == cli.EXIT_OK, result.stderr
+    assert PbosModel.load(tmp_path / "model").config.bos_max_len == 10**12
+
+
 def test_every_subcommand_help_exits_0(capsys):
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

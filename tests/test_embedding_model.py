@@ -1079,6 +1079,9 @@ DROP_LOSS_TRACE = _edit_config(lambda c: c.pop("loss_trace"))
     (_edit_config(lambda c: c["table"].update(total_mass=math.nan)), "config.json"),
     (_edit_config(lambda c: c["table"].update(probs={})), "config.json"),
     (_edit_config(lambda c: c.update(loss_trace=[0.5, "low"])), "config.json"),
+    (_edit_config(lambda c: c.update(loss_trace=[0.5, math.nan])), "config.json"),
+    (_edit_config(lambda c: c.update(loss_trace=[math.inf])), "config.json"),
+    (_write("subwords.txt", "a\nb\n\n"), "subwords.txt"),
     (DROP_LOSS_TRACE, "config.json"),
     (_write("config.json", "[]\n"), "config.json"),
     (_write("subwords.txt", "a\nb\na\n"), "subwords.txt"),
@@ -1101,6 +1104,17 @@ def test_load_errors_name_the_file(tmp_path, damage, name):
         PbosModel.load(tmp_path)
     assert str(tmp_path / name) in str(caught.value)
     assert ("missing key 'loss_trace'" in str(caught.value)) is (damage is DROP_LOSS_TRACE)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(-math.inf)])
+def test_save_refuses_a_non_finite_loss_trace_before_replacing_a_file(tmp_path, value):
+    vectors = {"a": np.array([1.0, 0.0])}
+    make_model(SubwordTable({"a": 0.5}), vectors=vectors).save(tmp_path)
+    saved = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    model = replace(make_model(SubwordTable({"b": 0.5}), vectors={"b": np.array([0.0, 1.0])}), loss_trace=[0.5, value])
+    with pytest.raises(ValueError, match="JSON compliant"):
+        model.save(tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == saved
 
 
 @pytest.mark.parametrize("subwords_text", ["c\nb\nc\n", "c\nc\na\n", "c\nb\nb\n"])

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pbos.evaluation import Affix
+from pbos.evaluation import Affix, AffixInstance, SimilarityPair
 from pbos.io_formats import (
     FormatError,
     SubwordEmbeddings,
@@ -17,6 +19,7 @@ from pbos.io_formats import (
     read_freqs,
     read_similarity_pairs,
     read_subwords,
+    read_words,
     write_embeddings,
     write_subwords,
 )
@@ -291,12 +294,41 @@ def test_read_subwords_rejects_a_bad_total_mass_by_line(value):
         read_subwords(io.StringIO(text))
 
 
-@pytest.mark.parametrize("subword", ["a\tb", "a\nb"])
+@pytest.mark.parametrize("subword", ["a\tb", "a\nb", "a\rb"])
 def test_write_subwords_refuses_a_tab_or_newline_before_writing(subword):
     buffer = io.StringIO()
     with pytest.raises(ValueError, match="subword contains a tab or newline"):
         write_subwords(SubwordTable({"a": 0.5, subword: 0.25}), buffer)
     assert buffer.getvalue() == ""
+
+
+def test_a_table_refuses_an_empty_subword():
+    with pytest.raises(ValueError, match="^a subword must not be empty$"):
+        SubwordTable({"": 0.5, "a": 0.5})
+
+
+_PROBABILITIES = st.floats(0.0, 1.0, exclude_min=True)
+
+
+# Read back as every command opens a file: with universal newlines.
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(min_size=1), _PROBABILITIES | _PROBABILITIES.map(np.float64), min_size=1))
+@example({"a\rb": 0.5})
+@example({"a": np.float64(0.5), "b": np.float32(0.25), "c": True})
+def test_write_subwords_writes_only_what_read_subwords_reads_back(probs):
+    table = SubwordTable(probs)
+    buffer = io.StringIO()
+    try:
+        write_subwords(table, buffer)
+    except ValueError:
+        assert buffer.getvalue() == ""
+        return
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "subwords.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(buffer.getvalue())
+        with open(path, encoding="utf-8") as fh:
+            assert read_subwords(fh) == table
 
 
 def test_read_subwords_skips_blank_lines():
@@ -316,6 +348,42 @@ def test_read_subwords_accepts_probability_one():
 def test_read_subwords_rejects_a_repeated_line(text, message):
     with pytest.raises(FormatError, match=message):
         read_subwords(io.StringIO(text))
+
+# --- the line rule -------------------------------------------------------------------
+
+def _line_shapes(line):
+    """Lines 1-5 in a reader's own line format: \\r\\n endings, a line of
+    spaces, a tab, a # line and a last record."""
+    return f"{line('ab')}\r\n  \r\n\t\n#{line('cd')}\n{line('ef')}\r\n"
+
+
+@pytest.mark.parametrize("read, line, kept, guarded", [
+    (read_freqs, "{},1".format, ([("ab", 1), ("#cd", 1), ("ef", 1)], 0), True),
+    (read_similarity_pairs, "{}\tb\t1.5".format,
+     ([SimilarityPair("ab", "b", 1.5), SimilarityPair("ef", "b", 1.5)], 0), True),
+    (read_affix_inventory, "{}\tprefix".format, ([Affix("ab", "prefix"), Affix("ef", "prefix")], 0), False),
+    (lambda fh: read_affix_instances(fh, [Affix("re", "prefix")]), "{}\tre".format,
+     ([AffixInstance("ab", Affix("re", "prefix")), AffixInstance("ef", Affix("re", "prefix"))], 0), True),
+    (read_words, "{}".format, ["ab", "#cd", "ef"], True),
+], ids=["freqs", "pairs", "inventory", "instances", "words"])
+def test_line_readers_share_one_line_rule(read, line, kept, guarded):
+    # a # line is data in the frequency list and the word list only
+    assert read(io.StringIO(_line_shapes(line))) == kept
+    text = _line_shapes(line) + line("x" * (MAX_WORD_LEN + 1)) + "\n"
+    if guarded:
+        with pytest.raises(ValueError, match=f"^line 6: word of length {MAX_WORD_LEN + 1} exceeds"):
+            read(io.StringIO(text))
+    else:  # an affix is matched against subwords, never composed
+        assert len(read(io.StringIO(text))[0]) == 3
+
+
+def test_read_words_gives_distinct_stripped_words_in_first_seen_order():
+    assert read_words(io.StringIO(" b \na\n\nb\n\ta\r\n#c\n")) == ["b", "a", "#c"]
+    with pytest.raises(ValueError, match="^empty query word list$"):
+        read_words(io.StringIO("\n \t\n"))
+    with pytest.raises(ValueError, match="^token is empty or contains whitespace: 'a b'$"):
+        read_words(io.StringIO("a\na b\n"))
+
 
 # --- benchmark files -----------------------------------------------------------------
 
