@@ -197,10 +197,11 @@ def composition_weights(
     """Per-subword composition weights for one word under a variant.
 
     ``bos`` gives one unit of weight per n-gram occurrence and ignores the
-    probability table; the lattice weights are used otherwise.
+    probability table; the lattice weights are used otherwise.  Every
+    variant rejects the words the lattice rejects: an empty word, and one
+    longer than ``lattice.MAX_WORD_LEN``.
     """
-    if not word:
-        raise ValueError("empty word")
+    lattice._check_word(word)
     if config.variant is Variant.BOS:
         counts = bos_subword_counts(
             word, config.bos_min_len, config.bos_max_len, config.use_word_boundary
@@ -359,6 +360,10 @@ class PbosModel:
             left_out = [name for name, keep in zip(subwords, kept) if not keep]
         with naming(subwords_path), naming(probs_path):
             table = subword_table(names, values, document["table"])
+            # the table rejects an empty subword; one it leaves out is rejected
+            # here, so that the error names this file and not the matrix
+            if "" in left_out:
+                raise ValueError("a subword must not be empty")
             # a subword the table leaves out must not be listed again after the vectors
             twice = next(filter(table.probs.__contains__, left_out), None)
             if twice is not None:

@@ -47,7 +47,10 @@ Wherever every product and every mass over the partition is a normal
 float, the plain floats are the scaled ones times a power of two, so the
 weights have the same bits.  One cheap bound per word decides that (see
 ``_array_pass``); a word that fails it takes its weights from
-``_scaled_pass``, so the array form holds no exponents.  For ``train``
+``_scaled_pass``, so the array form holds no exponents.  The pass of a
+block (``_pass_block``) returns the rows of all of its words, those of
+both kinds, as parts of one shape, and ``weight_rows`` writes each part
+into ``W`` in the same way.  For ``train``
 the batch's new subwords take their columns after the pass, in the order
 of their first weight in the batch, so a subword whose spans all have
 zero mass gets none.  On the seed-7 inputs of ``perfbench/run.py``
@@ -62,8 +65,9 @@ its own words (``test_weight_matrix_known_columns`` against
 The rows of the word x subword weight matrix ``W`` that the array pass
 does not give are written by ``csr_rows``, the one scalar row writer:
 those of ``embedding_model.weight_matrix``'s one-word and ``bos``
-batches, and those of the words of ``weight_rows`` that take the scalar
-pass.  It holds the one column rule, which ``weight_rows`` follows too:
+batches, and, within the pass of each block, those of its words that
+take the scalar pass.  It holds the one column rule, which
+``weight_rows`` follows too:
 without ``extend`` a subword that ``columns`` lacks is dropped; with it,
 the subword is numbered next in a copy of ``columns``, which takes the
 new entries in one update at the end, so a batch that raises leaves
@@ -291,28 +295,28 @@ def weight_rows(
     stable sort on length), their spans as in ``_scaled_pass``, into one
     block that is passed whenever it holds ``_BLOCK_SPANS`` spans and once
     at the end, so the rounds of a block, one per position of its longest
-    word, serve words of about that length.  With ``extend`` the lookups
-    number new subwords in a copy of ``columns``, and only after the pass
-    are those with a nonzero mass appended to it, in the order of their
-    first entry in batch order.  The words whose plain floats may not be
-    exact (see ``_array_pass``) take their weights from ``_scaled_pass``,
-    written by one :func:`csr_rows` call at the columns their lookups
-    found.
+    word, serve words of about that length.  Each pass returns every row
+    of its block (:func:`_pass_block`), and each row is written once.
+    With ``extend`` the lookups number new subwords in a copy of
+    ``columns``, and only after the last pass are those with a nonzero
+    mass appended to it, in the order of their first entry in batch order.
     """
     for word in words:
         _check_word(word)
     get, stems, eps = table.probs.get, table.stems, table.prob_eps
     known, lookup = len(columns), dict(columns) if extend else columns
     find = lookup.get
-    block = _Block()
-    counts = np.zeros(len(words), np.int64)
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per block: words, columns, weights
-    inexact: list[int] = []  # words whose plain floats may not be exact
-    for w in sorted(range(len(words)), key=lambda w: len(words[w]), reverse=True):
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []  # words, entry counts, columns, weights
+    # the lookups that wait for a pass: each word's index in the batch, each
+    # start's first span, and each span's probability, end and key, the
+    # column of its subword or -1, in lists, which append faster than
+    # arrays and hold objects that exist anyway
+    block, firsts, probs, ends, keys = [], array("i"), [], [], []
+    longest_first = sorted(range(len(words)), key=lambda w: len(words[w]), reverse=True)
+    for w in longest_first:
         word = words[w]
         n = len(word)
-        block.words.append(w)
-        firsts, probs, ends, keys = block.firsts, block.probs, block.ends, block.keys
+        block.append(w)
         for i in range(n):
             firsts.append(len(probs))
             for j in range(i + 1, n + 1):
@@ -331,19 +335,17 @@ def weight_rows(
                 probs.append(prob)
                 ends.append(j)
                 keys.append(key)
-        if len(probs) >= _BLOCK_SPANS:
-            inexact += block.flush(words, counts, parts)
-    if block.words:
-        inexact += block.flush(words, counts, parts)
-    fallback, key, weights = csr_rows((_scaled_pass(words[w], table)[3].items() for w in inexact), lookup)
-    counts[inexact] = np.diff(fallback)
-    parts.append((np.array(inexact, np.int64), key, weights))
+        if len(probs) >= _BLOCK_SPANS or w == longest_first[-1]:
+            parts += _pass_block(words, table, lookup, block, firsts, probs, ends, keys)
+            block, firsts, probs, ends, keys = [], array("i"), [], [], []
     indptr = np.zeros(len(words) + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    for batch, counts, _, _ in parts:
+        indptr[1:][batch] = counts
+    np.cumsum(indptr, out=indptr)
     indices, data = np.empty(indptr[-1], np.int64), np.empty(indptr[-1])
     while parts:
-        batch, key, weights = parts.pop()
-        entries = _ranges(indptr[batch], counts[batch])
+        batch, counts, key, weights = parts.pop()
+        entries = _ranges(indptr[batch], counts)
         indices[entries], data[entries] = key, weights
     if extend:
         added = _renumber(indices, lookup, known)
@@ -352,45 +354,37 @@ def weight_rows(
     return indptr, indices, data
 
 
-class _Block:
-    """The lookups of the words that wait for a pass: each word's index
-    in the batch, each start's first span, and each span's probability,
-    end and key, the column of its subword or -1."""
-
-    def __init__(self) -> None:
-        self.words: list[int] = []
-        self.firsts = array("i")
-        # lists append faster than arrays and hold objects that exist anyway
-        self.probs: list[float] = []
-        self.ends: list[int] = []
-        self.keys: list[int] = []
-
-    def flush(self, words: Sequence[str], counts: np.ndarray, parts: list) -> list[int]:
-        """Pass the block: set its words' entry counts in ``counts``, append
-        their columns and weights to ``parts``, and start empty again.
-        Returns the words whose plain floats may not be exact, which get
-        no entries here."""
-        batch = np.array(self.words)
-        lens = np.fromiter((len(words[w]) for w in self.words), np.int32, len(batch))
-        probs, ends, key = np.array(self.probs), np.array(self.ends, np.int32), np.array(self.keys, np.int32)
-        per_start = np.diff(np.frombuffer(self.firsts, np.int32), append=len(probs))
-        self.__init__()
-        masses, totals, span_word, exact = _array_pass(lens, per_start, probs, ends)
-        # a subword's masses, summed per word in span order, first seen first
-        kept = np.flatnonzero(exact[span_word] & (key >= 0))
-        span_word, key = span_word[kept], key[kept]
-        width = int(key.max(initial=0)) + 1
-        _, seen_at, merged_at = np.unique(
-            span_word.astype(np.int64) * width + key, return_index=True, return_inverse=True
-        )
-        merged = np.zeros(len(seen_at))
-        np.add.at(merged, merged_at, masses[kept])
-        order = np.argsort(seen_at)
-        seen = seen_at[order]
-        counts[batch] = np.bincount(span_word[seen], minlength=len(batch))
-        with np.errstate(under="ignore"):
-            parts.append((batch[exact], key[seen], merged[order] / totals[span_word[seen]]))
-        return batch[~exact].tolist()
+def _pass_block(
+    words: Sequence[str], table: SubwordTable, lookup: dict[str, int],
+    block: list[int], firsts: array, probs: list[float], ends: list[int], keys: list[int],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Pass the words ``block`` lists, from their lookups, and return all
+    of their rows as two parts ``(words, entry counts, columns, weights)``.
+    The first holds the words whose plain floats are exact (see
+    ``_array_pass``); the second the rest, whose ``_scaled_pass`` weights
+    :func:`csr_rows` writes at the columns ``lookup`` gives."""
+    batch = np.array(block, np.int64)
+    lens = np.fromiter((len(words[w]) for w in block), np.int32, len(block))
+    probs, ends, key = np.array(probs), np.array(ends, np.int32), np.array(keys, np.int32)
+    per_start = np.diff(np.frombuffer(firsts, np.int32), append=len(probs))
+    masses, totals, span_word, exact = _array_pass(lens, per_start, probs, ends)
+    # a subword's masses, summed per word in span order, first seen first
+    kept = np.flatnonzero(exact[span_word] & (key >= 0))
+    span_word, key = span_word[kept], key[kept]
+    width = int(key.max(initial=0)) + 1
+    _, seen_at, merged_at = np.unique(
+        span_word.astype(np.int64) * width + key, return_index=True, return_inverse=True
+    )
+    merged = np.zeros(len(seen_at))
+    np.add.at(merged, merged_at, masses[kept])
+    order = np.argsort(seen_at)
+    seen = seen_at[order]
+    counts = np.bincount(span_word[seen], minlength=len(block))
+    with np.errstate(under="ignore"):
+        weights = merged[order] / totals[span_word[seen]]
+    rest = batch[~exact]
+    indptr, rest_key, rest_weights = csr_rows((_scaled_pass(words[w], table)[3].items() for w in rest.tolist()), lookup)
+    return [(batch[exact], counts[exact], key[seen], weights), (rest, np.diff(indptr), rest_key, rest_weights)]
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

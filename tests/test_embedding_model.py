@@ -357,16 +357,17 @@ def test_a_batch_takes_the_scaled_pass_only_for_the_words_whose_plain_floats_may
     assert list(columns) == list(one_by_one)
 
 
+@pytest.mark.parametrize("variant", [Variant.PBOS, Variant.BOS])
 @pytest.mark.parametrize("bad", ["", "a" * (lattice.MAX_WORD_LEN + 1)], ids=["empty", "too-long"])
-def test_a_batch_with_a_word_the_lattice_rejects_raises_its_error(bad):
+def test_a_batch_with_a_word_the_lattice_rejects_raises_its_error(bad, variant):
     table = build_table({"abc": 2, "cab": 1})
     with pytest.raises(ValueError) as rejected:
         lattice.subword_weights(bad, table)
     columns: dict[str, int] = {}
     with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
-        weight_matrix(["abc", bad, "cab"], table, TrainConfig(), columns, extend=True)
+        weight_matrix(["abc", bad, "cab"], table, TrainConfig(variant=variant), columns, extend=True)
     assert columns == {}
-    model = make_model(table, vectors={"a": np.ones(2)})
+    model = make_model(table, variant=variant, vectors={"a": np.ones(2)})
     with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
         model.compose_many(["abc", bad])
 
@@ -495,14 +496,26 @@ def test_the_embeddings_matrix_is_read_only():
     (["a", "b", "a"], np.ones((3, 2)), "name 'a' is listed twice"),
     (["a", "b"], np.array([[1.0, 2.0], [3.0, np.nan]]), r"row 2 \('b'\) has a non-finite component"),
     (["a", "b"], np.array([[-np.inf, 2.0], [3.0, 4.0]]), r"row 1 \('a'\) has a non-finite component"),
-], ids=["float32", "int64", "1-d", "2-d", "dim-0", "dim-0-matrix", "short", "long", "repeated", "nan", "inf"])
+    # the first row's sum overflows, but its components are finite
+    (["a", "b"], np.array([[1e308, 1e308], [np.nan, 1.0]]), r"row 2 \('b'\) has a non-finite component"),
+    ([""], np.ones((1, 2)), "a name must not be empty"),
+], ids=[
+    "float32", "int64", "1-d", "2-d", "dim-0", "dim-0-matrix", "short", "long", "repeated", "nan", "inf",
+    "overflow-then-nan", "empty-name",
+])
 def test_embeddings_reject_what_no_model_can_use(names, matrix, message):
     with pytest.raises(ValueError, match=message):
         SubwordEmbeddings(names, matrix)
 
 
+def test_a_row_whose_sum_overflows_is_kept():
+    # the total and the first row's sum overflow; the other rows' sums do not
+    matrix = np.array([[1e308, 1e308], [1e308, 0.0], [1.0, 2.0]])
+    assert SubwordEmbeddings(["a", "b", "c"], matrix).matrix is matrix
+
+
 def test_the_finite_check_reaches_every_row_block():
-    # a row past the first blocks of the check is scanned too
+    # a row far past the first is checked too
     matrix = np.zeros((2 * 4096 + 3, 2))
     matrix[-1, 1] = np.inf
     names = [str(row) for row in range(len(matrix))]
@@ -1094,6 +1107,9 @@ DROP_LOSS_TRACE = _edit_config(lambda c: c.pop("loss_trace"))
     (_edit_probs(lambda p: p.astype(np.float32)), "probs.npy"),
     (_edit_probs(lambda p: p[:2]), "probs.npy"),
     (_edit_probs(lambda p: np.array([0.5, 0.5, 0.0])), "probs.npy"),
+    # an empty first line whose 0.0 keeps it out of the table
+    (lambda d: (_write("subwords.txt", "\nb\nab\n")(d), _edit_probs(lambda p: np.array([0.0, 0.5, 0.25]))(d)),
+     "subwords.txt"),
     (lambda d: (d / "probs.npy").unlink(), "probs.npy"),
 ])
 def test_load_errors_name_the_file(tmp_path, damage, name):
