@@ -1,6 +1,6 @@
-"""Micro-benchmarks of the subword store: model save, model load, the
-subword table file's write and read, and compose per word and in batch,
-on a seeded synthetic model.
+"""Micro-benchmarks of the subword store: building the subword table,
+model save, model load, the subword table file's write and read, and
+compose per word and in batch, on a seeded synthetic model.
 
 The model has a subword table built from 3,000 random words over a
 10-letter alphabet (tens of thousands of subwords), a random float64
@@ -12,6 +12,8 @@ the repository root with::
 
     python -m pytest benchmarks/ --benchmark-only
 
+``test_build_table`` times ``build_table`` on the 3,000-word frequency
+list, the work of ``pbos build-subwords`` before it writes the file.
 ``test_write_subwords`` and ``test_read_subwords`` time the model's table
 in the text encoding of ``subwords.tsv``, in memory, beside the binary
 encoding that ``test_save`` and ``test_load`` time with the vectors.
@@ -42,10 +44,19 @@ def _words(rng, count, low, high):
     return ["".join(rng.choice(letters, size=rng.integers(low, high))) for _ in range(count)]
 
 
+def _freqs(rng):
+    return {w: int(rng.integers(1, 100)) for w in _words(rng, 3000, 4, 13)}
+
+
+@pytest.fixture(scope="module")
+def freqs():
+    return _freqs(np.random.default_rng(SEED))
+
+
 @pytest.fixture(scope="module")
 def model():
     rng = np.random.default_rng(SEED)
-    table = build_table({w: int(rng.integers(1, 100)) for w in _words(rng, 3000, 4, 13)})
+    table = build_table(_freqs(rng))
     subwords = sorted(table.probs)[::2]
     embeddings = SubwordEmbeddings(subwords, rng.standard_normal((len(subwords), DIM)))
     return PbosModel(table=table, embeddings=embeddings, config=TrainConfig())
@@ -66,6 +77,11 @@ def test_load(benchmark, saved):
     loaded = benchmark(PbosModel.load, saved)
     assert len(loaded.embeddings.index) > 10_000
     assert len(loaded.table) > len(loaded.embeddings.index)
+
+
+def test_build_table(benchmark, freqs, model):
+    table = benchmark(build_table, freqs)
+    assert table == model.table
 
 
 def test_write_subwords(benchmark, model):

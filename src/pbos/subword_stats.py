@@ -15,7 +15,7 @@ are in characters, never bytes.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import numbers
 from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,11 +31,15 @@ def merge_freqs(freqs: WordFreqList) -> dict[str, int]:
     """Sum counts of duplicate words.
 
     Frequency dumps commonly contain case-variant duplicates after
-    lowercasing; they are merged by summation before any counting.
+    lowercasing; they are merged by summation before any counting.  A
+    negative count raises ``ValueError`` naming its word, checked entry by
+    entry, so a duplicate cannot offset it.
     """
     pairs = freqs.items() if isinstance(freqs, Mapping) else freqs
     merged: dict[str, int] = {}
     for word, count in pairs:
+        if count < 0:
+            raise ValueError(f"negative count for word {word!r}")
         merged[word] = merged.get(word, 0) + count
     return merged
 
@@ -62,10 +66,10 @@ class SubwordTable:
     """Immutable subword probability lookup.
 
     ``probs`` maps each counted subword, never the empty string, to a
-    probability in (0, 1], which the table checks.  Single characters
-    missing from the table fall back to ``prob_eps``, in (0, 1), so that
-    every string keeps at least one valid segmentation; missing strings of
-    length >= 2 have probability exactly 0.
+    ``numbers.Real`` probability in (0, 1], which the table checks.
+    Single characters missing from the table fall back to ``prob_eps``, in
+    (0, 1), so that every string keeps at least one valid segmentation;
+    missing strings of length >= 2 have probability exactly 0.
     ``max_len`` records the longest subword length counted (None when
     unbounded), and ``total_mass`` the count total (finite and >= 0).
 
@@ -90,6 +94,12 @@ class SubwordTable:
             raise ValueError(f"total_mass must be a finite real number >= 0, got {self.total_mass!r}")
         if self.max_len is not None and (not _is_number(self.max_len, (int,)) or self.max_len < 1):
             raise ValueError(f"max_len must be None or an int >= 1, got {self.max_len!r}")
+        # the distinct types, not each value: np.fromiter would parse a str
+        # or bytes value that the lattice cannot multiply
+        for kind in set(map(type, self.probs.values())):
+            if not issubclass(kind, numbers.Real):
+                subword, prob = next(item for item in self.probs.items() if type(item[1]) is kind)
+                raise ValueError(f"subword {subword!r} has probability {prob!r}; it must be a real number")
         values = np.fromiter(self.probs.values(), np.float64, len(self.probs))
         valid = (values > 0.0) & (values <= 1.0)  # false for nan
         if not valid.all():
@@ -131,24 +141,31 @@ def build_table(freqs: WordFreqList, max_len: int | None = None) -> SubwordTable
     ``max_len`` (unbounded when None) adds the word's count to that
     subword.  Probabilities are raw counts over the total of all raw
     counts; the total is recorded as ``total_mass``.
+
+    The counts go into a plain dict through its bound ``get``: a
+    ``Counter`` calls its Python-level ``__missing__`` for every new key,
+    a quarter of the counting time on the benchmark's word list.  The sums
+    are exact integers and the keys keep first-seen order.  Duplicate
+    words are merged first (:func:`merge_freqs`), which rejects a negative
+    count.
     """
     merged = merge_freqs(freqs)
     if not merged:
         raise ValueError("empty frequency list")
 
-    counts: Counter[str] = Counter()
+    counts: dict[str, int] = {}
+    get = counts.get
     for word, count in merged.items():
         if not word:
             raise ValueError("frequency list contains an empty word")
-        if count < 0:
-            raise ValueError(f"negative count for word {word!r}")
         if count == 0:
             continue
         n = len(word)
         for i in range(n):
             stop = n if max_len is None else min(n, i + max_len)
             for j in range(i + 1, stop + 1):
-                counts[word[i:j]] += count
+                sub = word[i:j]
+                counts[sub] = get(sub, 0) + count
 
     try:
         scale = float(sum(counts.values()))

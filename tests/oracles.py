@@ -3,9 +3,13 @@
 Segmentations are enumerated by bitmask over the n-1 cut positions, and
 weights/partition values are accumulated segmentation by segmentation, so
 these stay valid no matter what the lattice module does internally.
+Subword counts are taken with ``Counter`` increments, one substring
+occurrence at a time.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 
 def all_segmentations(word: str) -> list[tuple[str, ...]]:
@@ -57,3 +61,24 @@ def brute_ranked_segmentations(word: str, table) -> list[tuple[tuple[str, ...], 
     ]
     scored.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return scored
+
+
+def counter_table(freqs, max_len=None) -> tuple[dict[str, float], float]:
+    """The probabilities and total of ``build_table(freqs, max_len)``,
+    from ``(word, count)`` pairs: duplicate words summed, then each
+    substring occurrence counted with ``Counter``'s ``+=`` and divided by
+    the float of the integer total."""
+    merged = Counter()
+    for word, count in freqs:
+        merged[word] += count
+    counts = Counter()
+    for word, count in merged.items():
+        if count == 0:
+            continue
+        n = len(word)
+        for i in range(n):
+            stop = n if max_len is None else min(n, i + max_len)
+            for j in range(i + 1, stop + 1):
+                counts[word[i:j]] += count
+    total = float(sum(counts.values()))
+    return {sub: count / total for sub, count in counts.items()}, total

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import tempfile
@@ -20,6 +21,7 @@ from pbos.io_formats import (
     read_similarity_pairs,
     read_subwords,
     read_words,
+    table_settings,
     write_embeddings,
     write_subwords,
 )
@@ -297,9 +299,24 @@ def test_read_subwords_rejects_a_bad_total_mass_by_line(value):
 @pytest.mark.parametrize("subword", ["a\tb", "a\nb", "a\rb"])
 def test_write_subwords_refuses_a_tab_or_newline_before_writing(subword):
     buffer = io.StringIO()
-    with pytest.raises(ValueError, match="subword contains a tab or newline"):
-        write_subwords(SubwordTable({"a": 0.5, subword: 0.25}), buffer)
+    with pytest.raises(ValueError, match="subword contains a tab or newline") as raised:
+        write_subwords(SubwordTable({"a": 0.5, subword: 0.25, "b": 0.125}), buffer)
+    assert str(raised.value).endswith(repr(subword))
     assert buffer.getvalue() == ""
+
+
+@pytest.mark.parametrize("probs", [
+    # equal values of different types, and np.float32(0.1), which numpy finds equal to 0.1
+    {"a": 1, "b": 1.0, "c": True, "d": np.float64(1.0), "e": np.float32(0.5), "f": 0.5,
+     "g": np.float32(0.1), "h": 0.1, "i": np.float64(0.1)},
+    {f"w{i:03}": 1 / (i + 2) for i in range(300)},  # every value distinct
+])
+def test_write_subwords_writes_the_repr_of_each_float(probs):
+    table = SubwordTable(probs, prob_eps=0.02, max_len=3, total_mass=7.0)
+    buffer = io.StringIO()
+    write_subwords(table, buffer)
+    lines = [f"{subword}\t{float(probs[subword])!r}\n" for subword in sorted(probs)]
+    assert buffer.getvalue() == f"#\t{json.dumps(table_settings(table))}\n" + "".join(lines)
 
 
 def test_a_table_refuses_an_empty_subword():

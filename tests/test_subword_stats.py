@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pbos.subword_stats import SubwordTable, build_table, merge_freqs
@@ -53,6 +55,43 @@ def test_build_rejects_bad_input():
         build_table({"ab": 1}, max_len=0)
     with pytest.raises(ValueError):
         build_table({"ab": 0})  # all counts zero
+
+
+def test_a_duplicate_word_cannot_hide_a_negative_count():
+    with pytest.raises(ValueError, match="negative count for word 'ab'"):
+        build_table([("ab", 5), ("ab", -3)])
+    with pytest.raises(ValueError, match="negative count for word 'ab'"):
+        merge_freqs([("ab", -3), ("ab", 5)])
+
+
+@pytest.mark.parametrize("prob", ["0.5", b"0.5", None, 0.5j])
+def test_table_rejects_a_probability_that_is_not_a_real_number(prob):
+    # np.fromiter parses "0.5", and the lattice then fails on the str
+    with pytest.raises(ValueError, match="subword 'ab' has probability .*real number"):
+        SubwordTable({"a": 0.5, "ab": prob})
+
+
+def test_table_accepts_every_real_number_type():
+    probs = {"a": True, "b": 1, "c": np.float32(0.5), "d": np.float64(0.25), "e": 0.125}
+    assert SubwordTable(probs).probs == probs
+
+
+# counts that repeat, zeros, and counts whose sums a float cannot hold exactly
+_COUNTS = st.sampled_from([0, 1, 2, 3, 7, 2**53 + 1, 3 * 2**60 + 5]) | st.integers(0, 2**70)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.text(alphabet="abc", min_size=1, max_size=7), _COUNTS), min_size=1, max_size=12),
+    max_len=st.none() | st.integers(1, 4),
+)
+def test_build_table_matches_a_counter_loop(pairs, max_len):
+    assume(any(count for _, count in pairs))
+    table = build_table(pairs, max_len=max_len)
+    probs, total = oracles.counter_table(pairs, max_len)
+    assert list(table.probs) == list(probs)
+    assert list(map(float.hex, table.probs.values())) == list(map(float.hex, probs.values()))
+    assert table.total_mass == total
 
 
 def test_build_rejects_a_count_total_beyond_float_range():
